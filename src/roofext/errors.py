@@ -79,5 +79,5 @@ class ParseError(RoofextError):
 
 class DegeneratePencil(UserWarning):
     """The quadratic-form pencil has a null space of dimension > 1 at the
-    selected weight; any null direction yields a valid decomposition, one is
-    picked deterministically."""
+    selected weight; the null direction with zero trace component is used,
+    which gives an optimal decomposition."""

@@ -8,8 +8,12 @@ whose square root is (half) the map concurrence:
     C_T(rho)^2 = 4 (det T(rho) - w det rho),   w = w_lo,
 
 where [w_lo, w_hi] is the set of w making Q_T - w Q_det positive
-semidefinite.  Optimal decompositions then have length two: cut the Bloch
-ball along the null direction of the pencil at w_lo.
+semidefinite.  Q_det is invertible, so both endpoints are 0, 1 or real
+eigenvalues of Q_det^-1 Q_T: one small eigenproblem gives the interval
+exactly.  By the S-lemma the interval is nonempty exactly when the map is
+positive, which is how affine maps are certified; Kraus maps are completely
+positive by construction.  Optimal decompositions have length two: cut the
+Bloch ball along the null direction of the pencil at w_lo.
 
 Axial maps (diagonal Bloch action with a shift along z) admit closed forms
 for both the concurrence weight and the tangle weight; these are checked
@@ -46,11 +50,11 @@ from .states import (
 )
 
 TP_TOL = 1e-10
-POSITIVITY_FLOOR = -1e-9
-_POSITIVITY_SAMPLES = 200
-_POSITIVITY_SEED = 31415926
 
 Q_DET = np.diag([0.25, -0.25, -0.25, -0.25])
+# Rounding splits a double generalized eigenvalue by about sqrt(eps) ~ 1e-8;
+# roots closer than this are one cluster, imaginary parts below it are noise.
+_SPLIT_GAP = 1e-6
 
 _PAULI_STACK = np.stack(PAULIS)  # (4, 2, 2)
 
@@ -89,19 +93,6 @@ def apply_map(T, X):
     return _from_four_vector(T.bloch @ x)
 
 
-def _check_positivity_by_sampling(T):
-    rng = np.random.default_rng(_POSITIVITY_SEED)
-    G = rng.normal(size=(_POSITIVITY_SAMPLES, 2)) + 1j * rng.normal(size=(_POSITIVITY_SAMPLES, 2))
-    G /= np.linalg.norm(G, axis=1)[:, None]
-    worst = 0.0
-    for psi in G:
-        out = apply_map(T, np.outer(psi, psi.conj()))
-        lam = np.linalg.eigvalsh((out + out.conj().T) / 2.0)
-        worst = min(worst, float(lam[0]))
-    if worst < POSITIVITY_FLOOR:
-        raise NotPSD(f"map sends a pure state to min eigenvalue {worst:.3e}")
-
-
 def kraus_map(ops):
     ops = tuple(np.asarray(E, dtype=complex) for E in ops)
     if not ops or any(E.shape != (2, 2) for E in ops):
@@ -114,9 +105,7 @@ def kraus_map(ops):
     for nu in range(4):
         out = sum(E @ _PAULI_STACK[nu] @ E.conj().T for E in ops)
         bloch[:, nu] = np.real(np.einsum("kij,ji->k", _PAULI_STACK, out)) / 2.0
-    T = QubitStochasticMap(kind="kraus", bloch=bloch, kraus=ops)
-    _check_positivity_by_sampling(T)
-    return T
+    return QubitStochasticMap(kind="kraus", bloch=bloch, kraus=ops)
 
 
 def axial_beta_max(alpha, gamma):
@@ -152,6 +141,7 @@ def axial_map(alpha, beta, gamma):
 
 
 def affine_map(m):
+    """Trace-preserving map from its Bloch 4x4 matrix; raises NotPSD unless it is positive."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ShapeMismatch(f"affine map needs a 4x4 real matrix, got {m.shape}")
@@ -159,7 +149,10 @@ def affine_map(m):
     if dev > TP_TOL:
         raise NotTracePreserving(f"trace row deviates from (1,0,0,0) by {dev:.3e}")
     T = QubitStochasticMap(kind="affine", bloch=m.copy())
-    _check_positivity_by_sampling(T)
+    try:
+        subtraction_weight(T)
+    except EmptyInterval as exc:
+        raise NotPSD(f"map is not positive: {exc}") from None
     return T
 
 
@@ -205,13 +198,6 @@ class QuadraticFormPencil:
     def matrix(self, w):
         return self.q_t - w * self.q_det
 
-    def min_eigenpair(self, w):
-        vals, vecs = np.linalg.eigh(self.matrix(w))
-        return float(vals[0]), vecs[:, 0]
-
-    def min_eigenvalue(self, w):
-        return self.min_eigenpair(w)[0]
-
 
 def det_T_form(T):
     """Quadratic-form pencil of the map: exact on all of Hermitian 2x2 space."""
@@ -230,73 +216,48 @@ class SubtractionWeight:
 
 
 def subtraction_weight(T, psd_tol=1e-9):
-    """Interval of w in [0,1] with Q_T - w Q_det PSD, by eigenvalue bisection.
+    """Interval [w_lo, w_hi] of w in [0,1] with Q_T - w Q_det PSD, by one exact solve.
 
-    The minimum eigenvalue is concave in w, so its peak is located by
-    bisecting on the sign of the derivative -nu^T Q_det nu (nu the minimizing
-    eigenvector); the interval endpoints follow by bisection on the PSD
-    predicate from the peak outward.
+    Both endpoints are 0, 1 or real generalized eigenvalues of the pencil
+    (eigenvalues of Q_det^-1 Q_T).  Each candidate is tested once with
+    eigvalsh, from the bottom up for w_lo and from the top down for w_hi.  A
+    touching point is a double root that rounding splits into a pair about
+    1e-8 apart, real or complex; such a cluster counts as its mean when the
+    pencil is singular there (minimum eigenvalue within 1e-12 * scale of 0).
+    Raises EmptyInterval when no candidate is PSD within psd_tol * scale,
+    which by the S-lemma means the map is not positive.
     """
     pencil = det_T_form(T)
     scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
-    edge_tol = 1e-12 * scale
+    min_eig = {}
 
-    def fval(w):
-        return pencil.min_eigenvalue(w)
+    def lam(w):
+        if w not in min_eig:
+            min_eig[w] = float(np.linalg.eigvalsh(pencil.matrix(w))[0])
+        return min_eig[w]
 
-    def slope(w):
-        _, nu = pencil.min_eigenpair(w)
-        return -float(nu @ pencil.q_det @ nu)
+    roots = np.linalg.eigvals(np.linalg.solve(pencil.q_det, pencil.q_t))
+    roots = np.sort(roots[np.abs(roots.imag) <= _SPLIT_GAP].real)
+    cands = {0.0, 1.0}
+    for c in np.split(roots, np.flatnonzero(np.diff(roots) > _SPLIT_GAP) + 1):
+        mean = min(1.0, max(0.0, float(c.mean()))) if c.size > 1 else None
+        if mean is not None and abs(lam(mean)) <= 1e-12 * scale:
+            cands.add(mean)
+        else:
+            cands.update(float(w) for w in c if 0.0 < w < 1.0)
+    cands = sorted(cands)
 
-    if slope(0.0) <= 0.0:
-        w_peak = 0.0
-    elif slope(1.0) >= 0.0:
-        w_peak = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        w_peak = (lo + hi) / 2.0
+    def first_psd(ws):
+        return next((w for w in ws if lam(w) >= -psd_tol * scale), None)
 
-    peak = fval(w_peak)
-    if peak < -psd_tol * scale:
+    w_lo = first_psd(cands)
+    if w_lo is None:
+        w_best = max(min_eig, key=min_eig.get)
         raise EmptyInterval(
-            f"pencil is never PSD on [0,1]; best minimum eigenvalue {peak:.3e} at w={w_peak:.6f}"
+            f"pencil is never PSD on [0,1]; best minimum eigenvalue {min_eig[w_best]:.3e} at w={w_best:.6f}"
         )
-
-    if peak <= edge_tol:  # degenerate interval: the peak barely touches zero
-        return SubtractionWeight(w_lo=w_peak, w_hi=w_peak, w=w_peak)
-
-    def psd(w):
-        return fval(w) >= -edge_tol
-
-    if psd(0.0):
-        w_lo = 0.0
-    else:
-        bad, good = 0.0, w_peak
-        for _ in range(80):
-            mid = (bad + good) / 2.0
-            if psd(mid):
-                good = mid
-            else:
-                bad = mid
-        w_lo = good
-    if psd(1.0):
-        w_hi = 1.0
-    else:
-        bad, good = 1.0, w_peak
-        for _ in range(80):
-            mid = (bad + good) / 2.0
-            if psd(mid):
-                good = mid
-            else:
-                bad = mid
-        w_hi = good
-    return SubtractionWeight(w_lo=float(w_lo), w_hi=float(w_hi), w=float(w_lo))
+    w_hi = first_psd(reversed(cands))
+    return SubtractionWeight(w_lo=w_lo, w_hi=w_hi, w=w_lo)
 
 
 def concurrence_sq(T, rho, weight=None):
@@ -428,9 +389,12 @@ def length_two_decomposition(T, rho):
     """Optimal two-member decomposition for the map concurrence of a qubit state.
 
     Members are the intersections of the Bloch sphere with the line through
-    rho along the null direction of the pencil at w_lo.  Warns
-    DegeneratePencil (and picks deterministically) when the null space has
-    dimension > 1.
+    rho along the null direction of the pencil at w_lo.  When the null space
+    has dimension > 1 (two-Kraus channels, axial maps at a branch point) it
+    warns DegeneratePencil and takes the null direction with zero trace
+    component: along it the subtracted form is constant, so both members
+    have the concurrence of rho.  Another null direction can give a
+    decomposition whose average is above the roof.
     """
     rho = validate_density(rho)
     if rho.shape[0] != 2:
@@ -444,12 +408,14 @@ def length_two_decomposition(T, rho):
     vals, vecs = np.linalg.eigh(M)
     scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
     null_dim = int(np.sum(vals <= 1e-8 * scale))
+    nu = vecs[:, 0]
     if null_dim > 1:
         warnings.warn(
-            f"pencil null space has dimension {null_dim}; picking the first null direction",
+            f"pencil null space has dimension {null_dim}; using its trace-free direction",
             DegeneratePencil,
         )
-    nu = vecs[:, 0]
+        null = vecs[:, :null_dim]
+        nu = null @ np.linalg.svd(null[:1])[2][-1]
     x_rho = four_vector(rho)
     if abs(nu[0]) > 1e-10:
         delta = nu / nu[0] - x_rho

@@ -130,6 +130,8 @@ def report_to_json(report):
         out["bounds"] = {"lower": float(report.bounds[0]), "upper": float(report.bounds[1])}
     if report.decomposition is not None:
         out["decomposition"] = decomposition_to_json(report.decomposition)
+    if report.extras:
+        out["extras"] = dict(report.extras)
     return out
 
 

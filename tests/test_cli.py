@@ -51,6 +51,17 @@ def test_measure_diagonal_concurrence(qubit_file, diag_map_file, capsys):
     assert abs(out["value"] - 0.5) < 1e-10  # 2 |omega_01|
 
 
+def test_measure_map_concurrence_prints_interval(qubit_file, tmp_path, capsys):
+    p = tmp_path / "damp.json"
+    p.write_text(dumps(map_to_json(dephased_amplitude_damping(0.5))))
+    code = main(["measure", "--state", qubit_file, "--map", str(p), "--quantity", "concurrence"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["extras"]["w_lo"] - 0.5) < 1e-12  # the interval is {gamma}
+    assert abs(out["extras"]["w_hi"] - 0.5) < 1e-12
+    assert abs(out["value"] - np.sqrt(0.375)) < 1e-12
+
+
 def test_measure_missing_file_exits_2(capsys):
     assert main(["measure", "--state", "/nonexistent.json", "--quantity", "eof"]) == 2
 

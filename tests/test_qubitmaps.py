@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from roofext import (
     identity_map,
     kraus_map,
     length_two_decomposition,
+    map_concurrence,
     pure_projector,
     random_density,
     random_pure,
@@ -35,7 +38,7 @@ from roofext import (
     theta_from_kraus_pair,
     two_kraus_seminorm,
 )
-from roofext.qubitmaps import affine_map
+from roofext.qubitmaps import affine_map, axial_concurrence_weight
 
 PAULI_VEC = arrays(np.float64, (4,), elements=st.floats(min_value=-2.0, max_value=2.0))
 
@@ -88,6 +91,80 @@ def test_affine_map_positivity_sampling():
         affine_map(bad)
 
 
+def test_affine_map_exact_positivity():
+    transpose = affine_map(np.diag([1.0, 1.0, -1.0, 1.0]))  # positive, not CP
+    sw = subtraction_weight(transpose)
+    assert sw.w_lo == sw.w_hi == 1.0
+    with pytest.raises(NotPSD):
+        affine_map(np.diag([1.0, 1.3, 1.3, 1.3]))
+
+
+def _random_kraus_ops(rng, n_ops):
+    G = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    Q, _ = np.linalg.qr(G)
+    return [Q[2 * i : 2 * i + 2] for i in range(n_ops)]
+
+
+def _min_eig(T, w):
+    return np.linalg.eigvalsh(det_T_form(T).matrix(w))[0]
+
+
+def test_exact_weight_three_kraus_endpoints():
+    g = np.random.default_rng(3)
+    for _ in range(50):
+        T = kraus_map(_random_kraus_ops(g, 3))
+        sw = subtraction_weight(T)
+        assert 0.0 < sw.w_lo < sw.w_hi < 1.0
+        assert _min_eig(T, sw.w_lo) >= -1e-12 and _min_eig(T, sw.w_hi) >= -1e-12
+        assert _min_eig(T, sw.w_lo - 1e-6) < 0.0 and _min_eig(T, sw.w_hi + 1e-6) < 0.0
+
+
+def test_exact_weight_two_kraus_matches_spectrum_route():
+    g = np.random.default_rng(4)
+    for _ in range(50):
+        A, B = _random_kraus_ops(g, 2)
+        T = kraus_map([A, B])
+        rho = random_density(2, seed=g)
+        via_theta = concurrence_general_two_kraus(theta_from_kraus_pair(A, B), rho)
+        assert abs(np.sqrt(concurrence_sq(T, rho)) - via_theta) < 1e-10
+
+
+def test_exact_weight_axial_grid():
+    grid = np.linspace(0.1, 0.9, 9)
+    for a in grid:
+        for gam in grid:
+            for f in grid:
+                b = f * axial_beta_max(a, gam)
+                w = subtraction_weight(axial_map(a, b, gam)).w
+                assert abs(w - axial_concurrence_weight(a, b, gam)) <= 1e-12
+
+
+def _counted(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def test_exact_weight_eigensolve_budget(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
+    g = np.random.default_rng(5)
+    for n_ops in (1, 2, 3, 4):
+        ops = _random_kraus_ops(g, n_ops)
+        calls.clear()
+        T = kraus_map(ops)
+        assert calls == []
+        subtraction_weight(T)
+        assert len(calls) <= 8
+    for T in (dephased_amplitude_damping(0.4), depolarizing_map(0.5), identity_map()):
+        calls.clear()
+        subtraction_weight(T)
+        assert len(calls) <= 8
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_det_form_identity(seed):
     g = np.random.default_rng(seed)
@@ -104,8 +181,8 @@ def test_det_form_identity(seed):
 def test_subtraction_weight_dephased_damping():
     for g in np.linspace(0.1, 0.9, 9):
         sw = subtraction_weight(dephased_amplitude_damping(g))
-        assert abs(sw.w - g) < 1e-10
-        assert abs(sw.w_hi - sw.w_lo) < 1e-9  # degenerate interval
+        assert abs(sw.w_lo - g) <= 1e-12  # degenerate interval {gamma}
+        assert abs(sw.w_hi - g) <= 1e-12
 
 
 def test_subtraction_weight_identity_map():
@@ -232,6 +309,24 @@ def test_length_two_decomposition_contract():
     # members are pure states on the Bloch sphere
     for s in dec.states:
         assert abs(np.linalg.norm(np.asarray(s)) - 1.0) < 1e-10
+
+
+def test_length_two_decomposition_two_kraus_is_optimal():
+    # the pencil null space is two-dimensional here; its trace-free direction
+    # is the optimal cut, the other null directions overshoot the roof
+    g = np.random.default_rng(7)
+    for _ in range(60):
+        T = kraus_map(_random_kraus_ops(g, 2))
+        rho = random_density(2, seed=g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePencil)
+            dec = length_two_decomposition(T, rho)
+        assert dec.reconstruction_error(rho) < 1e-10
+        avg = sum(
+            p * 2.0 * np.sqrt(max(0.0, np.linalg.det(apply_map(T, pure_projector(s))).real))
+            for p, s in zip(dec.weights, dec.states)
+        )
+        assert abs(avg - map_concurrence(T, rho).value) < 1e-8
 
 
 def test_length_two_decomposition_pure_passthrough():

@@ -5,7 +5,7 @@ import pytest
 
 from roofext import ParseError, bell_state, pure_projector, random_density
 from roofext.diagonal import qubit_split_embedding
-from roofext.measures import concurrence_2qubit, partial_trace_kraus
+from roofext.measures import concurrence_2qubit, map_concurrence, partial_trace_kraus
 from roofext.qubitmaps import axial_map, kraus_map
 from roofext.serialize import (
     complex_array_to_json,
@@ -86,3 +86,9 @@ def test_report_json_shape():
     assert parsed["quantity"] == "concurrence"
     # canonical formatting: sorted keys, two-space indent
     assert text == json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_report_json_writes_extras():
+    rep = map_concurrence(axial_map(0.3, 0.2, 0.8), random_density(2, seed=3))
+    parsed = json.loads(dumps(report_to_json(rep)))
+    assert parsed["extras"] == {"w_lo": rep.extras["w_lo"], "w_hi": rep.extras["w_hi"]}
