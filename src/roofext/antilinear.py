@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -209,7 +208,10 @@ def real_hadamard(n):
     """Integer Hadamard matrix of power-of-two order (rows exactly orthogonal)."""
     if n < 1 or (n & (n - 1)) != 0:
         raise UnsupportedOrder(f"Hadamard order must be a power of two, got {n}")
-    return scipy.linalg.hadamard(n)
+    H = np.ones((1, 1), dtype=int)
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,7 @@ def cmd_solve(args):
         "value": res.value,
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "decomposition": serialize.decomposition_to_json(res.decomposition),
     }
     print(serialize.dumps(payload))

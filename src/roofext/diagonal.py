@@ -14,14 +14,13 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
-from scipy.special import xlogy
 
 from .errors import ConfigError, DimMismatch, NotIsometry, OutOfRange
 from .solver import SolverConfig, stiefel_descend
 from .states import (
     PureDecomposition,
     bloch_to_qubit,
+    eta,
     qubit_to_bloch,
     spectral_decomposition,
     state_rank,
@@ -29,15 +28,11 @@ from .states import (
 )
 
 
-def _eta(x):
-    return -xlogy(x, x)
-
-
 def diag_entropy(omega):
     """Shannon entropy of the diagonal of a state: the dephasing output entropy."""
     omega = validate_density(omega)
     d = np.real(np.diag(omega))
-    return float(np.sum(_eta(np.clip(d, 0.0, None))))
+    return float(np.sum(eta(np.clip(d, 0.0, None))))
 
 
 def ed_qubit(omega):
@@ -52,7 +47,7 @@ def ed_qubit(omega):
     x = qubit_to_bloch(omega)
     s = float(np.sqrt(max(0.0, 1.0 - x[0] ** 2 - x[1] ** 2)))
     p = (1.0 + s) / 2.0
-    return float(_eta(p) + _eta(1.0 - p))
+    return eta(p) + eta(1.0 - p)
 
 
 def _top_eigvec(rho):
@@ -186,7 +181,7 @@ def embedding_offset(spec, omega):
     diag = np.real(np.diag(omega))
     return float(
         sum(
-            diag[j] * float(np.sum(_eta(np.abs(y) ** 2)))
+            diag[j] * float(np.sum(eta(np.abs(y) ** 2)))
             for j, y in enumerate(spec.amplitudes)
         )
     )
@@ -211,12 +206,17 @@ def embed_qubit_pair(omega):
 # ---------------------------------------------------------------------------
 # Minimal output entropy on the zero-sum subspace
 
+def _h0_basis(d):
+    """Orthonormal columns spanning H0, the vectors whose amplitudes sum to zero."""
+    return np.linalg.svd(np.ones((1, d)))[2][1:].conj().T
+
+
 def _h0_closures(N, fd_step):
     dm1 = N.shape[1]
 
     def col_entropy(P):
         q = np.abs(P) ** 2
-        return _eta(q).sum(axis=0)
+        return eta(q).sum(axis=0)
 
     def value_fn(V):
         return float(col_entropy(N @ V)[0])
@@ -251,7 +251,7 @@ def h0_min_entropy_experiment(d, config=None):
     if d == 2:
         return float(np.log(2.0)), cand
     cfg = config if config is not None else SolverConfig(restarts=64)
-    N = scipy.linalg.null_space(np.ones((1, d)))  # orthonormal basis of H0
+    N = _h0_basis(d)
     value_fn, grad_fn = _h0_closures(N, cfg.fd_step)
     n_restarts = max(cfg.restarts, 1)
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_restarts)

@@ -11,7 +11,6 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .antilinear import lambda_spectrum, wootters_conjugation
 from .errors import DimMismatch, OutOfRange, RoofextError
@@ -31,20 +30,15 @@ from .solver import (
 )
 from .states import (
     PureDecomposition,
+    eta,
     spectral_decomposition,
     state_rank,
     validate_density,
 )
 
 
-def eta(x):
-    """-x ln x, extended by 0 at x = 0."""
-    return float(-xlogy(x, x)) if np.isscalar(x) else -xlogy(x, x)
-
-
 def shannon_entropy(p):
-    p = np.asarray(p, dtype=float)
-    return float(np.sum(-xlogy(p, p)))
+    return float(np.sum(eta(np.asarray(p, dtype=float))))
 
 
 def von_neumann_entropy(rho):

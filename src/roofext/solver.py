@@ -19,12 +19,12 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConfigError
 from .states import (
     PureDecomposition,
     decomposition_from_isometry,
+    eta,
     spectral_decomposition,
     state_rank,
     validate_density,
@@ -59,7 +59,11 @@ class RoofResult:
     objective: str
     mode: str
     iterations: int
-    converged: bool
+    stop_reason: str  # of the best restart; see stiefel_descend
+
+    @property
+    def converged(self):
+        return self.stop_reason == "gradient"
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +77,18 @@ def stiefel_retract(V):
 
 
 def stiefel_descend(value_fn, grad_fn, V0, max_iters=2000, tol=1e-10, stall_iters=50):
-    """Projected gradient descent with Armijo backtracking on St(L, r)."""
+    """Projected gradient descent with Armijo backtracking on St(L, r).
+
+    Returns (V, F, iterations, stop reason).  The reason is "gradient" when
+    the projected gradient met the tolerance, "armijo" when backtracking found
+    no decrease, "stall" after stall_iters steps that each gained at most the
+    tolerance, and "max_iters" when the iterations ran out.
+    """
     V = np.asarray(V0, dtype=complex)
     F = float(value_fn(V))
     step = 1.0
     stall = 0
-    converged = False
+    reason = "max_iters"
     its = 0
     for its in range(1, max_iters + 1):
         G = grad_fn(V)
@@ -87,7 +97,7 @@ def stiefel_descend(value_fn, grad_fn, V0, max_iters=2000, tol=1e-10, stall_iter
         g2 = float(np.sum(np.abs(P) ** 2))
         scale = max(1.0, abs(F))
         if g2 <= (tol * scale) ** 2:
-            converged = True
+            reason = "gradient"
             break
         accepted = False
         s = step
@@ -100,7 +110,7 @@ def stiefel_descend(value_fn, grad_fn, V0, max_iters=2000, tol=1e-10, stall_iter
             s /= 2.0
         if not accepted:
             # no decrease along the projected gradient: at the noise floor
-            converged = True
+            reason = "armijo"
             break
         if F - Fn <= tol * scale:
             stall += 1
@@ -109,9 +119,9 @@ def stiefel_descend(value_fn, grad_fn, V0, max_iters=2000, tol=1e-10, stall_iter
         V, F = Vn, Fn
         step = min(s * 2.0, 4.0)
         if stall >= stall_iters:
-            converged = True
+            reason = "stall"
             break
-    return V, F, its, converged
+    return V, F, its, reason
 
 
 def _roof_closures(objective, K, fd_step):
@@ -165,13 +175,13 @@ def minimize_roof(objective, omega, config=None):
     iters_total = 0
     for rst in range(n_restarts):
         V0 = _initial_isometry(L, r, rst, seeds[rst])
-        V, F, its, conv = stiefel_descend(
+        V, F, its, reason = stiefel_descend(
             value_fn, grad_fn, V0, cfg.max_iters, cfg.tol, cfg.stall_iters
         )
         iters_total += its
         if best is None or F < best[1]:
-            best = (V, F, conv)
-    V, F, conv = best
+            best = (V, F, reason)
+    V, F, reason = best
     dec = decomposition_from_isometry(omega, V)
     return RoofResult(
         value=float(F),
@@ -179,7 +189,7 @@ def minimize_roof(objective, omega, config=None):
         objective=objective.name,
         mode="min",
         iterations=iters_total,
-        converged=bool(conv),
+        stop_reason=reason,
     )
 
 
@@ -212,10 +222,6 @@ def flatness_check(objective, decomposition, tol=1e-6):
 
 # ---------------------------------------------------------------------------
 # Batched objectives
-
-def _eta_cols(x):
-    return -xlogy(x, x)
-
 
 def theta_form_objective(theta):
     """w(z) = |conj(z)^T A conj(z)|; the anti-linear-form member value."""
@@ -304,7 +310,7 @@ def output_entropy_objective(kraus=None, bloch=None):
         s = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
         mu_hi = np.clip((p + s) / 2.0, 0.0, None)
         mu_lo = np.clip((p - s) / 2.0, 0.0, None)
-        return _eta_cols(mu_hi) + _eta_cols(mu_lo) - _eta_cols(p)
+        return eta(mu_hi) + eta(mu_lo) - eta(p)
 
     return RoofObjective("output-entropy", batch)
 
@@ -315,6 +321,6 @@ def diag_entropy_objective():
     def batch(Z):
         Za = np.abs(np.asarray(Z, dtype=complex)) ** 2
         p = Za.sum(axis=0)
-        return _eta_cols(Za).sum(axis=0) - _eta_cols(p)
+        return eta(Za).sum(axis=0) - eta(p)
 
     return RoofObjective("diag-entropy", batch)

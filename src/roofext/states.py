@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -33,12 +34,26 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
 RANK_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def eta(x):
+    """-x ln x on the domain x >= 0, extended by 0 at x = 0.
+
+    A scalar gives a float; an array gives the elementwise array.
+    """
+    if not isinstance(x, np.ndarray) and np.isscalar(x):  # isscalar alone costs ~1 us
+        x = float(x)
+        return -x * math.log(x) if x != 0.0 else 0.0
+    # Adding the smallest normal float leaves every x above 1e-292 unchanged,
+    # turns 0 into a finite log, and still gives NaN below the domain.
+    return x * -np.log(x + _TINY)
 
 
 def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR):

@@ -8,6 +8,7 @@ from roofext import (
     ConfigError,
     NotSymmetric,
     ShapeMismatch,
+    UnsupportedOrder,
     bell_state,
     check_symmetric,
     flat_optimal_decomposition,
@@ -26,6 +27,7 @@ from roofext import (
     werner_state,
     wootters_conjugation,
 )
+from roofext.antilinear import real_hadamard
 from roofext.solver import flatness_check, theta_form_objective, verify_roof_point
 
 complex_2x2 = arrays(
@@ -194,3 +196,17 @@ def test_flat_decomposition_zero_roof():
 def test_flat_decomposition_bad_mode():
     with pytest.raises(ConfigError):
         flat_optimal_decomposition(wootters_conjugation(), maximally_mixed(4), mode="upper")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_real_hadamard_is_hadamard(n):
+    H = real_hadamard(n)
+    assert H.shape == (n, n)
+    assert np.all(np.abs(H) == 1)
+    assert np.array_equal(H @ H.T, n * np.eye(n, dtype=int))
+
+
+@pytest.mark.parametrize("n", [0, 3, 6])
+def test_real_hadamard_rejects_other_orders(n):
+    with pytest.raises(UnsupportedOrder):
+        real_hadamard(n)

@@ -140,6 +140,8 @@ def test_solve_diag_entropy(qubit_file, capsys):
 
     assert abs(out["value"] - ed_qubit(HH3)) < 2e-3
     assert out["mode"] == "min"
+    assert out["stop_reason"] in ("gradient", "armijo", "stall", "max_iters")
+    assert out["converged"] == (out["stop_reason"] == "gradient")
     weights = out["decomposition"]["weights"]
     assert abs(sum(weights) - 1.0) < 1e-9
 

@@ -173,3 +173,13 @@ def test_h0_experiment_small_dims():
     assert abs(np.sum(psi3)) < 1e-8
     with pytest.raises(ConfigError):
         h0_min_entropy_experiment(1)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_h0_basis_orthonormal_and_zero_sum(d):
+    from roofext.diagonal import _h0_basis
+
+    N = _h0_basis(d)
+    assert N.shape == (d, d - 1)
+    np.testing.assert_allclose(N.conj().T @ N, np.eye(d - 1), atol=1e-14)
+    np.testing.assert_allclose(np.ones(d) @ N, 0.0, atol=1e-14)

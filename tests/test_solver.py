@@ -146,3 +146,21 @@ def test_diagonal_channel_objective_matches_bloch(rng):
     v1 = verify_roof_point(diag_entropy_objective(), dec)
     v2 = verify_roof_point(output_entropy_objective(bloch=T.bloch), dec)
     assert abs(v1 - v2) < 1e-10
+
+
+def test_stop_reason_armijo_is_not_converged():
+    # with tol = 0 neither the gradient test nor the stall count can fire, so
+    # the descent ends when backtracking finds no decrease at the noise floor
+    cfg = SolverConfig(members=4, restarts=2, max_iters=400, tol=0.0, seed=0)
+    res = minimize_roof(diag_entropy_objective(), random_density(2, seed=3), cfg)
+    assert res.stop_reason == "armijo"
+    assert res.converged is False
+
+
+def test_stop_reason_gradient_is_converged():
+    omega = random_density(2, seed=3)
+    cfg = SolverConfig(members=4, restarts=2, max_iters=400, tol=1e-6, seed=0)
+    res = minimize_roof(diag_entropy_objective(), omega, cfg)
+    assert res.stop_reason == "gradient"
+    assert res.converged is True
+    assert abs(res.value - ed_qubit(omega)) < 1e-8

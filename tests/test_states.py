@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,6 +33,7 @@ from roofext import (
     validate_density,
     werner_state,
 )
+from roofext.measures import eta
 
 
 def test_validate_density_rejects_nonhermitian():
@@ -126,3 +133,26 @@ def test_random_generators_are_seeded():
     np.testing.assert_array_equal(a, b)
     U = random_unitary(4, seed=11)
     np.testing.assert_allclose(U @ U.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_eta_matches_math_log():
+    grid = np.concatenate([[0.0, 1.0, 1e-300], np.random.default_rng(5).uniform(size=200)])
+    want = np.array([-v * math.log(v) if v > 0.0 else 0.0 for v in grid])
+    np.testing.assert_allclose(eta(grid), want, rtol=0.0, atol=1e-15)
+    for v, w in zip(grid, want):
+        got = eta(float(v))
+        assert type(got) is float
+        assert abs(got - w) <= 1e-15
+    assert eta(0.0) == 0.0
+
+
+def test_import_loads_no_scipy():
+    import roofext
+
+    src = str(Path(roofext.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import roofext, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
