@@ -154,6 +154,10 @@ def cmd_solve(args):
         "iterations": res.iterations,
         "converged": res.converged,
         "stop_reason": res.stop_reason,
+        "restart_values": list(res.restart_values),
+        "restart_reasons": list(res.restart_reasons),
+        "value_evals": res.value_evals,
+        "grad_evals": res.grad_evals,
         "decomposition": serialize.decomposition_to_json(res.decomposition),
     }
     print(serialize.dumps(payload))

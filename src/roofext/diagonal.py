@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, DimMismatch, NotIsometry, OutOfRange
-from .solver import SolverConfig, stiefel_descend
+from .solver import RoofObjective, SolverConfig, _multistart, _roof_closures
 from .states import (
     PureDecomposition,
     bloch_to_qubit,
@@ -211,30 +211,6 @@ def _h0_basis(d):
     return np.linalg.svd(np.ones((1, d)))[2][1:].conj().T
 
 
-def _h0_closures(N, fd_step):
-    dm1 = N.shape[1]
-
-    def col_entropy(P):
-        q = np.abs(P) ** 2
-        return eta(q).sum(axis=0)
-
-    def value_fn(V):
-        return float(col_entropy(N @ V)[0])
-
-    def grad_fn(V):
-        psi = (N @ V)[:, 0]
-        base = psi[:, None]
-        h = fd_step
-        wp = col_entropy(base + h * N)
-        wm = col_entropy(base - h * N)
-        wip = col_entropy(base + 1j * h * N)
-        wim = col_entropy(base - 1j * h * N)
-        g = (wp - wm) / (2.0 * h) + 1j * (wip - wim) / (2.0 * h)
-        return g.reshape(dm1, 1)
-
-    return value_fn, grad_fn
-
-
 def h0_min_entropy_experiment(d, config=None):
     """Minimize diag_entropy over pure states with amplitudes summing to zero.
 
@@ -252,24 +228,16 @@ def h0_min_entropy_experiment(d, config=None):
         return float(np.log(2.0)), cand
     cfg = config if config is not None else SolverConfig(restarts=64)
     N = _h0_basis(d)
-    value_fn, grad_fn = _h0_closures(N, cfg.fd_step)
-    n_restarts = max(cfg.restarts, 1)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_restarts)
-    best_val, best_a = np.inf, None
-    for rst in range(n_restarts):
-        if rst == 0:
-            a0 = (N.conj().T @ cand).reshape(-1, 1)
-            a0 = a0 / np.linalg.norm(a0)
-        else:
-            rng = np.random.default_rng(seeds[rst])
-            g = rng.normal(size=(d - 1, 1)) + 1j * rng.normal(size=(d - 1, 1))
-            a0 = g / np.linalg.norm(g)
-        V, F, _, _ = stiefel_descend(
-            value_fn, grad_fn, a0, cfg.max_iters, cfg.tol, cfg.stall_iters
-        )
-        if F < best_val:
-            best_val, best_a = F, V
-    psi = (N @ best_a)[:, 0]
+    entropy = RoofObjective("h0-entropy", lambda Z: eta(np.abs(Z) ** 2).sum(axis=0))
+    value_fn, grad_fn = _roof_closures(entropy, N, cfg.fd_step)
+    # a point a of St(d-1, 1) is the one-member row a^T of a roof over N
+    flip = lambda V: V.mT  # noqa: E731
+    a0 = N.conj().T @ cand[:, None]
+    V, F = _multistart(
+        lambda V: value_fn(flip(V)), lambda V: flip(grad_fn(flip(V))), a0 / np.linalg.norm(a0), cfg
+    )[:2]
+    best = int(np.argmin(F))
+    psi = (N @ V[best])[:, 0]
     k = int(np.argmax(np.abs(psi)))
     psi = psi * np.exp(-1j * np.angle(psi[k]))
-    return float(best_val), psi
+    return float(F[best]), psi

@@ -37,6 +37,11 @@ from .states import (
 )
 
 
+# Rounding allowance for lower <= value <= upper in a reported bracket; a
+# larger deviation is a fault and raises.
+BRACKET_TOL = 1e-12
+
+
 def shannon_entropy(p):
     return float(np.sum(eta(np.asarray(p, dtype=float))))
 
@@ -156,7 +161,9 @@ def channel_entanglement(T, omega, config=None):
 
     Pure inputs are evaluated exactly; mixed inputs go to the solver.  The
     upper bound is the spectral-ensemble average; the report is flagged flat
-    when the value sits on the lower bound (within 1e-3).
+    when the value sits on the lower bound (within 1e-3).  Value and upper
+    bound are clamped at 0, and the bracket is widened to hold the value when
+    it misses by at most BRACKET_TOL; a larger miss raises RoofextError.
     """
     omega = validate_density(omega)
     if omega.shape[0] != 2:
@@ -177,12 +184,21 @@ def channel_entanglement(T, omega, config=None):
         dec = res.decomposition
         method = "solver"
         upper = verify_roof_point(objective, _spectral_ensemble(omega))
+    # a roof of a nonnegative objective: negative values are rounding dust
+    value, upper = max(value, 0.0), max(upper, 0.0)
+    deviation = max(lower - value, value - upper)
+    if deviation > BRACKET_TOL:
+        raise RoofextError(
+            f"entropy-out {value:.6e} lies outside its bracket [{lower:.6e}, {upper:.6e}] "
+            f"by {deviation:.3e} > {BRACKET_TOL:.0e}"
+        )
+    lower, upper = min(lower, value), max(upper, value)
     return MeasureReport(
         quantity="entropy-out",
-        value=float(value),
+        value=value,
         method=method,
         decomposition=dec,
-        bounds=(float(lower), float(upper)),
+        bounds=(lower, upper),
         extras={"flat": bool(abs(value - lower) < 1e-3), "concurrence": c_t},
     )
 

@@ -5,6 +5,11 @@ Every length-L decomposition of omega (rank r) is K V^T for the fixed
 complex Stiefel manifold St(L, r).  Roofs are optimized by projected
 gradient descent on V with a QR retraction; gradients come from batched
 central differences, exploiting that member k depends only on row k of V.
+The restarts of a solve descend in lockstep as one (R, L, r) stack: one
+batch call gives the values of every running restart, four more give their
+gradients, and one stacked QR retracts them all, while each restart keeps
+its own Armijo step, stall count and stop reason and leaves the stack when
+it stops.
 
 Objectives are supplied as batched functions w(Z) acting on subnormalized
 member columns z (|z|^2 = weight) and returning the *weighted* member value
@@ -58,8 +63,12 @@ class RoofResult:
     decomposition: PureDecomposition
     objective: str
     mode: str
-    iterations: int
-    stop_reason: str  # of the best restart; see stiefel_descend
+    iterations: int  # summed over restarts
+    stop_reason: str  # of the best restart; see _descend
+    restart_values: tuple  # final value of each restart, in restart order
+    restart_reasons: tuple  # stop reason of each restart, in restart order
+    value_evals: int  # objective values evaluated, summed over restarts
+    grad_evals: int  # gradients evaluated, summed over restarts
 
     @property
     def converged(self):
@@ -70,89 +79,117 @@ class RoofResult:
 # Stiefel descent engine
 
 def stiefel_retract(V):
+    """QR retraction of an (L, r) matrix, or of a stack (..., L, r), onto St(L, r)."""
     Q, R = np.linalg.qr(V)
-    sg = np.sign(np.diag(R).real)
+    sg = np.sign(np.diagonal(R, axis1=-2, axis2=-1).real)
     sg[sg == 0] = 1.0
-    return Q * sg[None, :]
+    return Q * sg[..., None, :]
 
 
-def stiefel_descend(value_fn, grad_fn, V0, max_iters=2000, tol=1e-10, stall_iters=50):
-    """Projected gradient descent with Armijo backtracking on St(L, r).
+def _descend(value_fn, grad_fn, V0, cfg):
+    """Lockstep projected gradient descent with Armijo backtracking on St(L, r).
 
-    Returns (V, F, iterations, stop reason).  The reason is "gradient" when
-    the projected gradient met the tolerance, "armijo" when backtracking found
-    no decrease, "stall" after stall_iters steps that each gained at most the
-    tolerance, and "max_iters" when the iterations ran out.
+    V0 is an (R, L, r) stack of restarts; value_fn maps an (n, L, r) stack to
+    its n values and grad_fn to its (n, L, r) Euclidean gradients.  Every
+    restart keeps its own step, stall count and stop reason, and a restart
+    that stops leaves the stack, so each follows the trajectory it would
+    follow alone.  The reason is "gradient" when the projected gradient met
+    the tolerance, "armijo" when 45 backtracking trials found no decrease,
+    "stall" after stall_iters steps that each gained at most the tolerance,
+    and "max_iters" when the iterations ran out.
+
+    Returns per-restart (V, F, iterations, reasons) and the numbers of values
+    and gradients evaluated, summed over restarts.
     """
-    V = np.asarray(V0, dtype=complex)
-    F = float(value_fn(V))
-    step = 1.0
-    stall = 0
-    reason = "max_iters"
-    its = 0
-    for its in range(1, max_iters + 1):
+    V = np.array(V0, dtype=complex)
+    F = value_fn(V)
+    R = V.shape[0]
+    V_end, F_end = np.empty_like(V), np.empty_like(F)
+    its = np.full(R, cfg.max_iters)
+    reasons = np.full(R, "max_iters", dtype=object)
+    rows = np.arange(R)  # the restart behind each row of the running stack
+    step = np.ones(R)
+    stall = np.zeros(R, dtype=int)
+    n_values, n_grads = R, 0
+    for it in range(1, cfg.max_iters + 1):
         G = grad_fn(V)
-        sym = (V.conj().T @ G + G.conj().T @ V) / 2.0
+        n_grads += rows.size
+        sym = (V.conj().mT @ G + G.conj().mT @ V) / 2.0
         P = G - V @ sym
-        g2 = float(np.sum(np.abs(P) ** 2))
-        scale = max(1.0, abs(F))
-        if g2 <= (tol * scale) ** 2:
-            reason = "gradient"
-            break
-        accepted = False
-        s = step
+        g2 = np.sum(np.abs(P) ** 2, axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(F))
+        reason = np.where(g2 <= (cfg.tol * scale) ** 2, "gradient", "")
+        Vn, Fn = V.copy(), F.copy()
+        pend = np.flatnonzero(reason == "")
         for _ in range(45):
-            Vn = stiefel_retract(V - s * P)
-            Fn = float(value_fn(Vn))
-            if Fn <= F - 1e-4 * s * g2:
-                accepted = True
+            if pend.size == 0:
                 break
-            s /= 2.0
-        if not accepted:
-            # no decrease along the projected gradient: at the noise floor
-            reason = "armijo"
-            break
-        if F - Fn <= tol * scale:
-            stall += 1
-        else:
-            stall = 0
-        V, F = Vn, Fn
-        step = min(s * 2.0, 4.0)
-        if stall >= stall_iters:
-            reason = "stall"
-            break
-    return V, F, its, reason
+            Vt = stiefel_retract(V[pend] - step[pend, None, None] * P[pend])
+            Ft = value_fn(Vt)
+            n_values += pend.size
+            ok = Ft <= F[pend] - 1e-4 * step[pend] * g2[pend]
+            Vn[pend[ok]], Fn[pend[ok]] = Vt[ok], Ft[ok]
+            pend = pend[~ok]
+            step[pend] /= 2.0
+        # no decrease along the projected gradient: at the noise floor
+        reason[pend] = "armijo"
+        stall = np.where(F - Fn <= cfg.tol * scale, stall + 1, 0)
+        reason[(reason == "") & (stall >= cfg.stall_iters)] = "stall"
+        V, F, step = Vn, Fn, np.minimum(step * 2.0, 4.0)
+        end = reason != ""
+        if end.any():
+            done = rows[end]
+            V_end[done], F_end[done], its[done] = V[end], F[end], it
+            reasons[done] = reason[end].tolist()
+            keep = ~end
+            V, F, step, stall, rows = V[keep], F[keep], step[keep], stall[keep], rows[keep]
+            if rows.size == 0:
+                break
+    V_end[rows], F_end[rows] = V, F
+    return V_end, F_end, its, reasons, n_values, n_grads
+
+
+def _multistart(value_fn, grad_fn, first, cfg):
+    """_descend over cfg.restarts restarts of the SeedSequence(cfg.seed) spawn.
+
+    Restart 0 starts at `first`; every other restart at a random point drawn
+    from its own spawned seed.
+    """
+    seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.restarts, 1))
+    rngs = [np.random.default_rng(s) for s in seeds[1:]]
+    G = np.array([rng.normal(size=first.shape) + 1j * rng.normal(size=first.shape) for rng in rngs])
+    V0 = np.concatenate([first[None], stiefel_retract(G.reshape(-1, *first.shape))])
+    return _descend(value_fn, grad_fn, V0, cfg)
 
 
 def _roof_closures(objective, K, fd_step):
+    """Stacked value and gradient of sum_k w(K V[k]^T) over (n, L, r) stacks.
+
+    Member k of a restart depends only on row k of its V, so one batch call
+    per finite-difference shift covers every entry of every restart.
+    """
     d, r = K.shape
 
+    def members(V):  # column i*L + k is member k of restart i
+        return (K @ V.mT).transpose(1, 0, 2).reshape(d, -1)
+
     def value_fn(V):
-        return float(np.sum(objective.batch(K @ V.T)))
+        return objective.batch(members(V)).reshape(V.shape[:2]).sum(axis=1)
 
     def grad_fn(V):
-        L = V.shape[0]
-        Z = K @ V.T
-        Zrep = np.repeat(Z, r, axis=1)  # column k*r + j is member k
-        Kt = np.tile(K, (1, L))  # column k*r + j is K[:, j]
+        n, L = V.shape[:2]
+        Zrep = np.repeat(members(V), r, axis=1)  # column (i*L + k)*r + j is member k of restart i
+        Kt = np.tile(K, (1, n * L))  # column (i*L + k)*r + j is K[:, j]
         h = fd_step
         wp = objective.batch(Zrep + h * Kt)
         wm = objective.batch(Zrep - h * Kt)
         wip = objective.batch(Zrep + 1j * h * Kt)
         wim = objective.batch(Zrep - 1j * h * Kt)
-        Gre = (wp - wm).reshape(L, r) / (2.0 * h)
-        Gim = (wip - wim).reshape(L, r) / (2.0 * h)
+        Gre = (wp - wm).reshape(n, L, r) / (2.0 * h)
+        Gim = (wip - wim).reshape(n, L, r) / (2.0 * h)
         return Gre + 1j * Gim
 
     return value_fn, grad_fn
-
-
-def _initial_isometry(L, r, restart, seed_seq):
-    if restart == 0:
-        return np.eye(L, r, dtype=complex)
-    rng = np.random.default_rng(seed_seq)
-    G = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
-    return stiefel_retract(G)
 
 
 def minimize_roof(objective, omega, config=None):
@@ -169,34 +206,30 @@ def minimize_roof(objective, omega, config=None):
     if L > d * d:
         raise ConfigError(f"members={L} exceeds the Caratheodory bound {d * d}")
     value_fn, grad_fn = _roof_closures(objective, K, cfg.fd_step)
-    n_restarts = max(cfg.restarts, 1)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_restarts)
-    best = None
-    iters_total = 0
-    for rst in range(n_restarts):
-        V0 = _initial_isometry(L, r, rst, seeds[rst])
-        V, F, its, reason = stiefel_descend(
-            value_fn, grad_fn, V0, cfg.max_iters, cfg.tol, cfg.stall_iters
-        )
-        iters_total += its
-        if best is None or F < best[1]:
-            best = (V, F, reason)
-    V, F, reason = best
-    dec = decomposition_from_isometry(omega, V)
+    V, F, its, reasons, n_values, n_grads = _multistart(
+        value_fn, grad_fn, np.eye(L, r, dtype=complex), cfg
+    )
+    best = int(np.argmin(F))  # the first restart that reaches the minimum
     return RoofResult(
-        value=float(F),
-        decomposition=dec,
+        value=float(F[best]),
+        decomposition=decomposition_from_isometry(omega, V[best]),
         objective=objective.name,
         mode="min",
-        iterations=iters_total,
-        stop_reason=reason,
+        iterations=int(its.sum()),
+        stop_reason=reasons[best],
+        restart_values=tuple(F.tolist()),
+        restart_reasons=tuple(reasons),
+        value_evals=n_values,
+        grad_evals=n_grads,
     )
 
 
 def maximize_roof(objective, omega, config=None):
     neg = RoofObjective(objective.name, lambda Z: -objective.batch(Z))
     res = minimize_roof(neg, omega, config)
-    return dataclasses.replace(res, value=-res.value, mode="max")
+    return dataclasses.replace(
+        res, value=-res.value, mode="max", restart_values=tuple(-v for v in res.restart_values)
+    )
 
 
 def verify_roof_point(objective, decomposition):

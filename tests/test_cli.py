@@ -142,6 +142,10 @@ def test_solve_diag_entropy(qubit_file, capsys):
     assert out["mode"] == "min"
     assert out["stop_reason"] in ("gradient", "armijo", "stall", "max_iters")
     assert out["converged"] == (out["stop_reason"] == "gradient")
+    assert len(out["restart_values"]) == len(out["restart_reasons"]) == 4
+    assert out["value"] == min(out["restart_values"])
+    assert out["stop_reason"] == out["restart_reasons"][out["restart_values"].index(out["value"])]
+    assert out["grad_evals"] >= 4 and out["value_evals"] > out["grad_evals"]
     weights = out["decomposition"]["weights"]
     assert abs(sum(weights) - 1.0) < 1e-9
 

@@ -4,6 +4,7 @@ import pytest
 from roofext import (
     DimMismatch,
     OutOfRange,
+    RoofextError,
     SolverConfig,
     axial_beta_max,
     axial_map,
@@ -17,6 +18,7 @@ from roofext import (
     dephased_amplitude_damping,
     diagonal_channel,
     eof_2qubit,
+    identity_map,
     map_concurrence,
     maximally_mixed,
     product_pure,
@@ -28,6 +30,7 @@ from roofext import (
     werner_state,
     xi,
 )
+from roofext import measures
 from roofext.diagonal import ed_qubit
 from roofext.qubitmaps import apply_map
 
@@ -110,6 +113,23 @@ def test_channel_entanglement_diagonal_matches_closed(rng):
     lower, upper = rep.bounds
     assert lower - 5e-3 <= rep.value <= upper + 1e-9
     assert rep.extras["flat"]  # the diagonal channel roof is flat
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_channel_entanglement_identity_bracket(seed):
+    # E = 0 for the identity map; the solver's entropy cancels to rounding
+    # dust that once came out negative, with lower > upper on some states
+    rep = channel_entanglement(identity_map(), random_density(2, seed=seed))
+    lower, upper = rep.bounds
+    assert rep.value >= 0.0
+    assert lower <= rep.value <= upper
+    assert upper < 1e-12
+
+
+def test_channel_entanglement_bracket_violation_raises(monkeypatch):
+    monkeypatch.setattr(measures, "xi", lambda c: 1.0)  # a lower bound above every value
+    with pytest.raises(RoofextError, match="outside its bracket"):
+        channel_entanglement(identity_map(), random_density(2, seed=0), SolverConfig(restarts=2))
 
 
 def test_channel_entanglement_dim_check():

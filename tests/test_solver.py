@@ -15,7 +15,9 @@ from roofext import (
     output_entropy_objective,
     pure_projector,
     random_density,
+    spectral_decomposition,
     sqrt_det_output_objective,
+    state_rank,
     theta_form_objective,
     verify_roof_point,
     werner_state,
@@ -24,7 +26,7 @@ from roofext import (
 from roofext.diagonal import diag_entropy, ed_qubit
 from roofext.measures import partial_trace_kraus, von_neumann_entropy
 from roofext.qubitmaps import apply_map, dephased_amplitude_damping
-from roofext.solver import stiefel_retract
+from roofext.solver import _descend, _roof_closures, stiefel_retract
 
 LIGHT = SolverConfig(members=6, restarts=6, max_iters=600, seed=0)
 
@@ -33,6 +35,108 @@ def test_stiefel_retract_is_isometry(rng):
     G = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
     V = stiefel_retract(G)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(3), atol=1e-12)
+
+
+def test_stiefel_retract_stack_matches_slices(rng):
+    G = rng.normal(size=(5, 7, 3)) + 1j * rng.normal(size=(5, 7, 3))
+    stacked = stiefel_retract(G)
+    for i in range(5):
+        np.testing.assert_array_equal(stacked[i], stiefel_retract(G[i]))
+
+
+def _closures(objective, omega):
+    vals, vecs = spectral_decomposition(omega)
+    r = state_rank(omega)
+    return _roof_closures(objective, vecs[:, :r] * np.sqrt(vals[:r]), 1e-6), r
+
+
+def _random_stack(rng, n, L, r):
+    return stiefel_retract(rng.normal(size=(n, L, r)) + 1j * rng.normal(size=(n, L, r)))
+
+
+def _serial_descend(value_fn, grad_fn, V, cfg):
+    """(F, iterations, reason) of one restart, by the loop the stacked descent replaced."""
+    value, grad = (lambda W: value_fn(W[None])[0]), (lambda W: grad_fn(W[None])[0])
+    F, step, stall = value(V), 1.0, 0
+    for it in range(1, cfg.max_iters + 1):
+        G = grad(V)
+        P = G - V @ ((V.conj().T @ G + G.conj().T @ V) / 2.0)
+        g2 = float(np.sum(np.abs(P) ** 2))
+        scale = max(1.0, abs(F))
+        if g2 <= (cfg.tol * scale) ** 2:
+            return F, it, "gradient"
+        s = step
+        for _ in range(45):
+            Vn = stiefel_retract(V - s * P)
+            Fn = value(Vn)
+            if Fn <= F - 1e-4 * s * g2:
+                break
+            s /= 2.0
+        else:
+            return F, it, "armijo"
+        stall = stall + 1 if F - Fn <= cfg.tol * scale else 0
+        V, F, step = Vn, Fn, min(s * 2.0, 4.0)
+        if stall >= cfg.stall_iters:
+            return F, it, "stall"
+    return F, cfg.max_iters, "max_iters"
+
+
+DESCENT_CFG = SolverConfig(max_iters=300, stall_iters=30)
+
+
+@pytest.mark.parametrize(
+    "objective, dim, rank, members",
+    [
+        (theta_form_objective(wootters_conjugation() / 2.0), 4, 3, 6),
+        (sqrt_det_output_objective(kraus=partial_trace_kraus()), 4, 2, 4),
+        (diag_entropy_objective(), 2, 2, 4),
+    ],
+    ids=["theta-form", "sqrt-det-kraus", "diag-entropy"],
+)
+def test_restart_does_not_depend_on_its_stack(rng, objective, dim, rank, members):
+    (value_fn, grad_fn), r = _closures(objective, random_density(dim, rank=rank, seed=rng))
+    V0 = _random_stack(rng, 6, members, r)
+    _, F, its, reasons, _, _ = _descend(value_fn, grad_fn, V0, DESCENT_CFG)
+    for i in range(6):
+        _, Fi, its_i, reasons_i, _, _ = _descend(value_fn, grad_fn, V0[i : i + 1], DESCENT_CFG)
+        assert abs(Fi[0] - F[i]) <= 1e-10
+        assert (its_i[0], reasons_i[0]) == (its[i], reasons[i])
+        F_ref, its_ref, reason_ref = _serial_descend(value_fn, grad_fn, V0[i], DESCENT_CFG)
+        assert abs(F_ref - F[i]) <= 1e-10
+        assert (its_ref, reason_ref) == (its[i], reasons[i])
+
+
+def test_converged_restart_leaves_the_stack_early(rng):
+    (value_fn, grad_fn), r = _closures(diag_entropy_objective(), random_density(2, seed=3))
+    cfg = SolverConfig(max_iters=400, tol=1e-6)
+    V, _, _, reasons, _, _ = _descend(value_fn, grad_fn, _random_stack(rng, 4, 4, r), cfg)
+    V_opt = V[list(reasons).index("gradient")]
+    others = _random_stack(rng, 3, 4, r)
+    _, F, its, reasons, n_values, n_grads = _descend(
+        value_fn, grad_fn, np.concatenate([V_opt[None], others]), cfg
+    )
+    assert (reasons[0], its[0]) == ("gradient", 1)
+    for i in range(3):
+        _, Fi, its_i, reasons_i, _, _ = _descend(value_fn, grad_fn, others[i : i + 1], cfg)
+        assert its[i + 1] == its_i[0] > 1
+        assert reasons[i + 1] == reasons_i[0]
+        assert abs(F[i + 1] - Fi[0]) <= 1e-10
+    assert n_grads == its.sum()
+    assert n_values > n_grads
+
+
+def test_result_reports_every_restart(rng):
+    theta = wootters_conjugation() / 2.0
+    rho = random_density(4, rank=2, seed=rng)
+    cfg = SolverConfig(members=4, restarts=5, max_iters=200, seed=3)
+    lo = minimize_roof(theta_form_objective(theta), rho, cfg)
+    hi = maximize_roof(theta_form_objective(theta), rho, cfg)
+    for res, best in ((lo, min), (hi, max)):
+        assert len(res.restart_values) == len(res.restart_reasons) == 5
+        assert res.value == best(res.restart_values)
+        assert res.stop_reason == res.restart_reasons[res.restart_values.index(res.value)]
+        assert res.grad_evals == res.iterations < res.value_evals  # one gradient per iteration
+    assert lo.value <= hi.value
 
 
 def test_bell_sqrt_det_roof():
