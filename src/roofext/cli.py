@@ -135,13 +135,7 @@ def cmd_solve(args):
     else:
         if not args.map:
             raise ParseError(f"objective {name} requires --map")
-        T = _load_map(args.map)
-        maker = {
-            "sqrt-det-out": solver.sqrt_det_output_objective,
-            "det-out": solver.det_output_objective,
-            "entropy-out": solver.output_entropy_objective,
-        }[name]
-        obj = maker(kraus=T.kraus) if T.kraus is not None else maker(bloch=T.bloch)
+        obj = solver.objective_for(_load_map(args.map), name)
         if rho.shape != (2, 2):
             raise DimMismatch("qubit-map objectives need a 2x2 state")
     cfg = _solver_config(args, members=args.members)
@@ -158,6 +152,7 @@ def cmd_solve(args):
         "restart_reasons": list(res.restart_reasons),
         "value_evals": res.value_evals,
         "grad_evals": res.grad_evals,
+        "grad_norm": res.grad_norm,
         "decomposition": serialize.decomposition_to_json(res.decomposition),
     }
     print(serialize.dumps(payload))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DimMismatch, NotIsometry, OutOfRange
 from .solver import RoofObjective, SolverConfig, _multistart, _roof_closures
 from .states import (
+    _TINY,
     PureDecomposition,
     bloch_to_qubit,
     eta,
@@ -228,7 +229,11 @@ def h0_min_entropy_experiment(d, config=None):
         return float(np.log(2.0)), cand
     cfg = config if config is not None else SolverConfig(restarts=64)
     N = _h0_basis(d)
-    entropy = RoofObjective("h0-entropy", lambda Z: eta(np.abs(Z) ** 2).sum(axis=0))
+    entropy = RoofObjective(
+        "h0-entropy",
+        lambda Z: eta(np.abs(Z) ** 2).sum(axis=0),
+        lambda Z: -2.0 * (np.log(np.abs(Z) ** 2 + _TINY) + 1.0) * Z,
+    )
     value_fn, grad_fn = _roof_closures(entropy, N, cfg.fd_step)
     # a point a of St(d-1, 1) is the one-member row a^T of a roof over N
     flip = lambda V: V.mT  # noqa: E731

@@ -21,13 +21,7 @@ from .qubitmaps import (
     concurrence_sq,
     subtraction_weight,
 )
-from .solver import (
-    SolverConfig,
-    det_output_objective,
-    minimize_roof,
-    output_entropy_objective,
-    verify_roof_point,
-)
+from .solver import SolverConfig, minimize_roof, objective_for, verify_roof_point
 from .states import (
     PureDecomposition,
     eta,
@@ -114,18 +108,6 @@ def _spectral_ensemble(omega):
     return PureDecomposition(tuple(float(x) for x in w), tuple(vecs[:, j] for j in range(r)))
 
 
-def _entropy_objective(T):
-    if T.kraus is not None:
-        return output_entropy_objective(kraus=T.kraus)
-    return output_entropy_objective(bloch=T.bloch)
-
-
-def _det_objective(T):
-    if T.kraus is not None:
-        return det_output_objective(kraus=T.kraus)
-    return det_output_objective(bloch=T.bloch)
-
-
 def map_concurrence(T, omega, weight=None):
     """C_T(omega) = sqrt of the subtracted determinant form (closed form)."""
     if weight is None:
@@ -147,7 +129,7 @@ def channel_tangle(T, omega, config=None):
         return MeasureReport(
             quantity="tangle", value=axial_tangle(a, b, g, omega), method="closed_form"
         )
-    res = minimize_roof(_det_objective(T), omega, config)
+    res = minimize_roof(objective_for(T, "det-out"), omega, config)
     return MeasureReport(
         quantity="tangle",
         value=4.0 * res.value,
@@ -171,7 +153,7 @@ def channel_entanglement(T, omega, config=None):
     weight = subtraction_weight(T)
     c_t = float(np.sqrt(concurrence_sq(T, omega, weight)))
     lower = xi(c_t)
-    objective = _entropy_objective(T)
+    objective = objective_for(T, "entropy-out")
     if state_rank(omega) == 1:
         value = von_neumann_entropy(apply_map(T, omega))
         _, vecs = spectral_decomposition(omega)

@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .states import (
-    PAULIS,
+    PAULI_STACK,
     PureDecomposition,
     psd_sqrt,
     spectral_decomposition,
@@ -56,17 +56,15 @@ Q_DET = np.diag([0.25, -0.25, -0.25, -0.25])
 # roots closer than this are one cluster, imaginary parts below it are noise.
 _SPLIT_GAP = 1e-6
 
-_PAULI_STACK = np.stack(PAULIS)  # (4, 2, 2)
-
 
 def four_vector(X):
     """Pauli coordinates (Tr X, Tr sigma_1 X, Tr sigma_2 X, Tr sigma_3 X), real part."""
     X = np.asarray(X, dtype=complex)
-    return np.real(np.einsum("kij,ji->k", _PAULI_STACK, X))
+    return np.real(np.einsum("kij,ji->k", PAULI_STACK, X))
 
 
 def _from_four_vector(y):
-    return np.einsum("k,kij->ij", np.asarray(y, dtype=complex), _PAULI_STACK) / 2.0
+    return np.einsum("k,kij->ij", np.asarray(y, dtype=complex), PAULI_STACK) / 2.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -89,7 +87,7 @@ def apply_map(T, X):
         for E in T.kraus:
             out += E @ X @ E.conj().T
         return out
-    x = np.einsum("kij,ji->k", _PAULI_STACK, X)  # complex coordinates, stays linear
+    x = np.einsum("kij,ji->k", PAULI_STACK, X)  # complex coordinates, stays linear
     return _from_four_vector(T.bloch @ x)
 
 
@@ -103,8 +101,8 @@ def kraus_map(ops):
         raise NotTracePreserving(f"sum E^dag E deviates from identity by {dev:.3e}")
     bloch = np.empty((4, 4))
     for nu in range(4):
-        out = sum(E @ _PAULI_STACK[nu] @ E.conj().T for E in ops)
-        bloch[:, nu] = np.real(np.einsum("kij,ji->k", _PAULI_STACK, out)) / 2.0
+        out = sum(E @ PAULI_STACK[nu] @ E.conj().T for E in ops)
+        bloch[:, nu] = np.real(np.einsum("kij,ji->k", PAULI_STACK, out)) / 2.0
     return QubitStochasticMap(kind="kraus", bloch=bloch, kraus=ops)
 
 
@@ -380,7 +378,7 @@ def concurrence_general_two_kraus(theta, omega):
 # Optimal length-two decompositions
 
 def _sphere_member(x3vec):
-    rho = (np.eye(2, dtype=complex) + x3vec[0] * _PAULI_STACK[1] + x3vec[1] * _PAULI_STACK[2] + x3vec[2] * _PAULI_STACK[3]) / 2.0
+    rho = (np.eye(2, dtype=complex) + x3vec[0] * PAULI_STACK[1] + x3vec[1] * PAULI_STACK[2] + x3vec[2] * PAULI_STACK[3]) / 2.0
     vals, vecs = np.linalg.eigh(rho)
     return vecs[:, -1]
 

@@ -3,10 +3,12 @@
 Every length-L decomposition of omega (rank r) is K V^T for the fixed
 "square root" K = eigvecs * sqrt(eigvals) (d x r) and an isometry V on the
 complex Stiefel manifold St(L, r).  Roofs are optimized by projected
-gradient descent on V with a QR retraction; gradients come from batched
-central differences, exploiting that member k depends only on row k of V.
+gradient descent on V with a QR retraction.  Every built-in objective has
+an exact gradient, so one call per step gives the gradients of every
+member; an objective without one gets batched central differences,
+exploiting that member k depends only on row k of V.
 The restarts of a solve descend in lockstep as one (R, L, r) stack: one
-batch call gives the values of every running restart, four more give their
+batch call gives the values of every running restart, one more their
 gradients, and one stacked QR retracts them all, while each restart keeps
 its own Armijo step, stall count and stop reason and leaves the stack when
 it stops.
@@ -27,6 +29,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .states import (
+    _TINY,
+    PAULI_STACK,
     PureDecomposition,
     decomposition_from_isometry,
     eta,
@@ -51,10 +55,17 @@ class SolverConfig:
 
 @dataclasses.dataclass(frozen=True)
 class RoofObjective:
-    """name plus batched weighted-member-value function (see module docstring)."""
+    """name plus batched weighted-member-value function (see module docstring).
+
+    grad, if given, maps the (d, n) member columns Z to the (d, n) complex
+    gradients dw/dRe z + i dw/dIm z = 2 dw/dconj(z), one column per member;
+    it must be finite everywhere, kinks included.  Without it the solver
+    takes central differences of batch with step SolverConfig.fd_step.
+    """
 
     name: str
     batch: Callable[[np.ndarray], np.ndarray]
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,6 +80,7 @@ class RoofResult:
     restart_reasons: tuple  # stop reason of each restart, in restart order
     value_evals: int  # objective values evaluated, summed over restarts
     grad_evals: int  # gradients evaluated, summed over restarts
+    grad_norm: float  # projected-gradient norm of the best restart at its final point
 
     @property
     def converged(self):
@@ -84,6 +96,11 @@ def stiefel_retract(V):
     sg = np.sign(np.diagonal(R, axis1=-2, axis2=-1).real)
     sg[sg == 0] = 1.0
     return Q * sg[..., None, :]
+
+
+def _projected(V, G):
+    """Projection of Euclidean gradients G onto the tangent spaces of St(L, r) at V."""
+    return G - V @ ((V.conj().mT @ G + G.conj().mT @ V) / 2.0)
 
 
 def _descend(value_fn, grad_fn, V0, cfg):
@@ -112,10 +129,8 @@ def _descend(value_fn, grad_fn, V0, cfg):
     stall = np.zeros(R, dtype=int)
     n_values, n_grads = R, 0
     for it in range(1, cfg.max_iters + 1):
-        G = grad_fn(V)
+        P = _projected(V, grad_fn(V))
         n_grads += rows.size
-        sym = (V.conj().mT @ G + G.conj().mT @ V) / 2.0
-        P = G - V @ sym
         g2 = np.sum(np.abs(P) ** 2, axis=(1, 2))
         scale = np.maximum(1.0, np.abs(F))
         reason = np.where(g2 <= (cfg.tol * scale) ** 2, "gradient", "")
@@ -165,8 +180,10 @@ def _multistart(value_fn, grad_fn, first, cfg):
 def _roof_closures(objective, K, fd_step):
     """Stacked value and gradient of sum_k w(K V[k]^T) over (n, L, r) stacks.
 
-    Member k of a restart depends only on row k of its V, so one batch call
-    per finite-difference shift covers every entry of every restart.
+    Member k of a restart depends only on row k of its V, so dF/dV[k] is
+    K^H applied to the gradient of member k: one objective.grad call covers
+    every entry of every restart.  Without objective.grad, one batch call
+    per finite-difference shift does.
     """
     d, r = K.shape
 
@@ -175,6 +192,15 @@ def _roof_closures(objective, K, fd_step):
 
     def value_fn(V):
         return objective.batch(members(V)).reshape(V.shape[:2]).sum(axis=1)
+
+    if objective.grad is not None:
+        Kh = K.conj().T
+
+        def grad_fn(V):
+            n, L = V.shape[:2]
+            return (Kh @ objective.grad(members(V))).reshape(r, n, L).transpose(1, 2, 0)
+
+        return value_fn, grad_fn
 
     def grad_fn(V):
         n, L = V.shape[:2]
@@ -210,6 +236,7 @@ def minimize_roof(objective, omega, config=None):
         value_fn, grad_fn, np.eye(L, r, dtype=complex), cfg
     )
     best = int(np.argmin(F))  # the first restart that reaches the minimum
+    P = _projected(V[best], grad_fn(V[best][None])[0])
     return RoofResult(
         value=float(F[best]),
         decomposition=decomposition_from_isometry(omega, V[best]),
@@ -221,11 +248,15 @@ def minimize_roof(objective, omega, config=None):
         restart_reasons=tuple(reasons),
         value_evals=n_values,
         grad_evals=n_grads,
+        grad_norm=float(np.linalg.norm(P)),
     )
 
 
 def maximize_roof(objective, omega, config=None):
-    neg = RoofObjective(objective.name, lambda Z: -objective.batch(Z))
+    grad = objective.grad
+    neg = RoofObjective(
+        objective.name, lambda Z: -objective.batch(Z), None if grad is None else lambda Z: -grad(Z)
+    )
     res = minimize_roof(neg, omega, config)
     return dataclasses.replace(
         res, value=-res.value, mode="max", restart_values=tuple(-v for v in res.restart_values)
@@ -257,103 +288,156 @@ def flatness_check(objective, decomposition, tol=1e-6):
 # Batched objectives
 
 def theta_form_objective(theta):
-    """w(z) = |conj(z)^T A conj(z)|; the anti-linear-form member value."""
+    """w(z) = |conj(z)^T A conj(z)|; the anti-linear-form member value.
+
+    Gradient: conj(f) / |f| (A + A^T) conj(z) with f the form, 0 where f = 0.
+    """
     A = np.asarray(theta, dtype=complex)
+    As = A + A.T
 
     def batch(Z):
         Zc = np.asarray(Z, dtype=complex).conj()
         return np.abs(np.einsum("ij,ik,jk->k", A, Zc, Zc))
 
-    return RoofObjective("theta-form", batch)
+    def grad(Z):
+        Zc = np.asarray(Z, dtype=complex).conj()
+        AZ = As @ Zc
+        f = np.sum(Zc * AZ, axis=0) / 2.0
+        a = np.abs(f)
+        return np.divide(f.conj(), a, out=np.zeros_like(f), where=a > 0) * AZ
+
+    return RoofObjective("theta-form", batch, grad)
 
 
-def _output_stats_kraus(ops, Z):
-    t00 = 0.0
-    t11 = 0.0
-    t01 = 0.0 + 0.0j
-    for E in ops:
-        W = E @ Z
-        t00 = t00 + np.abs(W[0]) ** 2
-        t11 = t11 + np.abs(W[1]) ** 2
-        t01 = t01 + W[0] * W[1].conj()
-    p = t00 + t11
-    det = t00 * t11 - np.abs(t01) ** 2
-    return p, det
+def _output_forms(kraus=None, bloch=None):
+    """The Hermitian forms S_mu, stacked (4, d, d), with z^H S_mu z = Tr sigma_mu T(z z^H).
 
-
-def _bloch_cols(Z):
-    z0, z1 = Z[0], Z[1]
-    c = z0.conj() * z1
-    return np.stack(
-        [
-            np.abs(z0) ** 2 + np.abs(z1) ** 2,
-            2.0 * c.real,
-            2.0 * c.imag,
-            np.abs(z0) ** 2 - np.abs(z1) ** 2,
-        ]
-    )
-
-
-def _output_stats_bloch(Lmat, Z):
-    x = _bloch_cols(np.asarray(Z, dtype=complex))
-    y = Lmat @ x
-    p = y[0]
-    det = (y[0] ** 2 - y[1] ** 2 - y[2] ** 2 - y[3] ** 2) / 4.0
-    return p, det
-
-
-def _stats_fn(kraus=None, bloch=None):
+    S_mu = sum_E E^H sigma_mu E for Kraus operators E (2 x d), and
+    sum_nu L[mu, nu] sigma_nu for a 4 x 4 Bloch matrix L.
+    """
     if (kraus is None) == (bloch is None):
         raise ConfigError("pass exactly one of kraus= or bloch=")
     if kraus is not None:
-        ops = tuple(np.asarray(E, dtype=complex) for E in kraus)
-        return lambda Z: _output_stats_kraus(ops, Z)
-    Lmat = np.asarray(bloch, dtype=float)
-    return lambda Z: _output_stats_bloch(Lmat, Z)
+        E = np.asarray(kraus, dtype=complex)
+        return np.einsum("kia,mij,kjb->mab", E.conj(), PAULI_STACK, E)
+    return np.einsum("mn,nij->mij", np.asarray(bloch, dtype=float), PAULI_STACK)
+
+
+def _output_stats(S, Z, grad=False):
+    """p = Tr T(z z^H) and det T(z z^H) per column z; with grad, also dp and ddet.
+
+    dp and ddet are the derivatives by conj(z).  The Pauli coordinates of
+    T(z z^H) are y_mu = z^H S_mu z, with dy_mu/dconj(z) = S_mu z, so one
+    stacked product gives p = y_0, det = (y_0^2 - |y|^2) / 4 and
+    ddet = (y_0 S_0 z - sum_i y_i S_i z) / 2.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    W = S @ Z
+    y = np.einsum("an,man->mn", Z.conj(), W).real
+    p, det = y[0], (y[0] ** 2 - y[1] ** 2 - y[2] ** 2 - y[3] ** 2) / 4.0
+    if not grad:
+        return p, det
+    return p, det, W[0], (y[0] * W[0] - np.einsum("mn,man->an", y[1:], W[1:])) / 2.0
 
 
 def sqrt_det_output_objective(kraus=None, bloch=None):
-    """w(z) = p * sqrt(det T(pi)); its convex roof is half the map concurrence."""
-    stats = _stats_fn(kraus, bloch)
+    """w(z) = p * sqrt(det T(pi)); its convex roof is half the map concurrence.
+
+    Gradient: ddet / sqrt(det), 0 where det <= 0.
+    """
+    S = _output_forms(kraus, bloch)
 
     def batch(Z):
-        _, det = stats(Z)
+        _, det = _output_stats(S, Z)
         return np.sqrt(np.clip(det, 0.0, None))
 
-    return RoofObjective("sqrt-det-output", batch)
+    def grad(Z):
+        _, det, _, ddet = _output_stats(S, Z, grad=True)
+        root = np.sqrt(np.clip(det, 0.0, None))
+        return np.divide(ddet, root, out=np.zeros_like(ddet), where=root > 0)
+
+    return RoofObjective("sqrt-det-output", batch, grad)
 
 
 def det_output_objective(kraus=None, bloch=None):
-    """w(z) = p * det T(pi); its convex roof relates to the map tangle."""
-    stats = _stats_fn(kraus, bloch)
+    """w(z) = p * det T(pi); its convex roof relates to the map tangle.
+
+    Gradient: 2 (p ddet - det dp) / p^2, 0 where p <= MEMBER_TOL.
+    """
+    S = _output_forms(kraus, bloch)
 
     def batch(Z):
-        p, det = stats(Z)
+        p, det = _output_stats(S, Z)
         return np.divide(det, p, out=np.zeros_like(det), where=p > MEMBER_TOL)
 
-    return RoofObjective("det-output", batch)
+    def grad(Z):
+        p, det, dp, ddet = _output_stats(S, Z, grad=True)
+        g = 2.0 * (p * ddet - det * dp)
+        return np.divide(g, p * p, out=np.zeros_like(g), where=p > MEMBER_TOL)
+
+    return RoofObjective("det-output", batch, grad)
 
 
 def output_entropy_objective(kraus=None, bloch=None):
-    """w(z) = p * S(T(pi)) for qubit-output maps (natural log)."""
-    stats = _stats_fn(kraus, bloch)
+    """w(z) = p * S(T(pi)) for qubit-output maps (natural log).
+
+    With output eigenvalues mu_+- = (p +- s) / 2 and logs l = log(x + tiny)
+    as in states.eta, the gradient is
+    2 (l_p - (l_+ + l_-) / 2) dp - 2 (arctanh(s/p) / s) (p dp - 2 ddet),
+    where arctanh(s/p) = (l_+ - l_-) / 2 and arctanh(s/p) / s is 1/p at s = 0.
+    """
+    S = _output_forms(kraus, bloch)
+
+    def eigs(p, det):
+        s = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
+        return s, np.clip((p + s) / 2.0, 0.0, None), np.clip((p - s) / 2.0, 0.0, None)
 
     def batch(Z):
-        p, det = stats(Z)
-        s = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-        mu_hi = np.clip((p + s) / 2.0, 0.0, None)
-        mu_lo = np.clip((p - s) / 2.0, 0.0, None)
+        p, det = _output_stats(S, Z)
+        _, mu_hi, mu_lo = eigs(p, det)
         return eta(mu_hi) + eta(mu_lo) - eta(p)
 
-    return RoofObjective("output-entropy", batch)
+    def grad(Z):
+        p, det, dp, ddet = _output_stats(S, Z, grad=True)
+        s, mu_hi, mu_lo = eigs(p, det)
+        l_hi, l_lo = np.log(mu_hi + _TINY), np.log(mu_lo + _TINY)
+        c_p = np.log(p + _TINY) - (l_hi + l_lo) / 2.0
+        c_s = np.divide(l_hi - l_lo, 2.0 * s, out=1.0 / (p + _TINY), where=s > 0)
+        return 2.0 * (c_p * dp - c_s * (p * dp - 2.0 * ddet))
+
+    return RoofObjective("output-entropy", batch, grad)
+
+
+_MAP_OBJECTIVES = {
+    "sqrt-det-out": sqrt_det_output_objective,
+    "det-out": det_output_objective,
+    "entropy-out": output_entropy_objective,
+}
+
+
+def objective_for(T, kind):
+    """The qubit-output objective of a map T for kind sqrt-det-out, det-out or entropy-out.
+
+    Built from T's Kraus operators when it has them, else from its Bloch matrix.
+    """
+    maker = _MAP_OBJECTIVES[kind]
+    return maker(kraus=T.kraus) if T.kraus is not None else maker(bloch=T.bloch)
 
 
 def diag_entropy_objective():
-    """w(z) = p * sum_i eta(|psi_i|^2); basis-diagonal entropy member value."""
+    """w(z) = p * sum_i eta(|psi_i|^2); basis-diagonal entropy member value.
+
+    Gradient: 2 (log p - log |z_i|^2) z_i, logs guarded as in states.eta.
+    """
 
     def batch(Z):
         Za = np.abs(np.asarray(Z, dtype=complex)) ** 2
         p = Za.sum(axis=0)
         return eta(Za).sum(axis=0) - eta(p)
 
-    return RoofObjective("diag-entropy", batch)
+    def grad(Z):
+        Z = np.asarray(Z, dtype=complex)
+        Za = np.abs(Z) ** 2
+        return 2.0 * (np.log(Za.sum(axis=0) + _TINY) - np.log(Za + _TINY)) * Z
+
+    return RoofObjective("diag-entropy", batch, grad)

@@ -41,6 +41,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_STACK = np.stack(PAULIS)  # (4, 2, 2)
 
 
 def eta(x):

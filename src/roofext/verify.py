@@ -80,12 +80,6 @@ def _light_config(rng, members=None, restarts=4):
     )
 
 
-def _map_sqrt_det_objective(T):
-    if T.kraus is not None:
-        return solver.sqrt_det_output_objective(kraus=T.kraus)
-    return solver.sqrt_det_output_objective(bloch=T.bloch)
-
-
 def _hermitian_from_vec(x):
     return (
         x[0] * states.SIGMA_0 + x[1] * states.SIGMA_X + x[2] * states.SIGMA_Y + x[3] * states.SIGMA_Z

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +227,24 @@ def test_measure_eof_with_map_is_rejected(bell_file, diag_map_file):
         ["measure", "--state", bell_file, "--map", diag_map_file, "--quantity", "eof"]
     )
     assert code == 2
+
+
+def test_solve_prints_the_final_gradient_norm(qubit_file, capsys):
+    argv = ["solve", "--state", qubit_file, "--objective", "diag-entropy", "--restarts", "2"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 <= out["grad_norm"] < 1e-6  # the best restart ends near a stationary point
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "roofext", "verify", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--suite" in proc.stdout

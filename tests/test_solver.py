@@ -268,3 +268,18 @@ def test_stop_reason_gradient_is_converged():
     assert res.stop_reason == "gradient"
     assert res.converged is True
     assert abs(res.value - ed_qubit(omega)) < 1e-8
+
+
+def test_gradient_stop_reports_a_small_projected_gradient():
+    cfg = SolverConfig(members=4, restarts=2, max_iters=400, tol=1e-6, seed=0)
+    for run in (minimize_roof, maximize_roof):
+        res = run(diag_entropy_objective(), random_density(2, seed=3), cfg)
+        assert res.stop_reason == "gradient"
+        assert 0.0 <= res.grad_norm <= cfg.tol * max(1.0, abs(res.value))
+
+
+def test_early_stop_reports_its_projected_gradient():
+    cfg = SolverConfig(members=4, restarts=2, max_iters=3, seed=0)
+    res = minimize_roof(diag_entropy_objective(), random_density(2, seed=3), cfg)
+    assert res.stop_reason == "max_iters"
+    assert res.grad_norm > cfg.tol * max(1.0, abs(res.value))
