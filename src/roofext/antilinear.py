@@ -33,16 +33,15 @@ from .errors import (
     UnsupportedOrder,
 )
 from .states import (
+    WEIGHT_TOL,
     PureDecomposition,
     psd_sqrt,
-    spectral_decomposition,
+    spectral_ensemble,
     state_rank,
     validate_density,
 )
 
 ZERO_TOL = 1e-12
-WEIGHT_DROP = 1e-12
-FLAT_TOL = 1e-8
 
 
 def spin_flip():
@@ -128,80 +127,35 @@ def roof_values(theta, omega):
 
 @dataclasses.dataclass(frozen=True)
 class TakagiFactorization:
-    """B = sum_j phases_j * lambdas_j * phi_j phi_j^T with orthonormal phi_j.
-
-    lambdas are the descending singular values; phases are unimodular.
-    """
+    """B = sum_j lambdas_j * phi_j phi_j^T with orthonormal phi_j; lambdas descending."""
 
     lambdas: np.ndarray
-    phases: np.ndarray
     basis: np.ndarray
 
     def reconstruct(self):
-        return (self.basis * (self.lambdas * self.phases)) @ self.basis.T
+        return (self.basis * self.lambdas) @ self.basis.T
 
 
-def _cluster_indices(values, tol):
-    groups = [[0]]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def takagi(B):
+    """Takagi factorization B = U diag(lambdas) U^T from one real symmetric eigensolve.
 
-
-def _diag_symmetric_unitary(C):
-    """Jointly diagonalize a (numerically) symmetric unitary C = O diag(c) O^T.
-
-    Works because Re C and Im C are commuting real symmetric matrices.
-    Returns the real orthogonal O and the complex diagonal entries.
+    With B = X + iY, M = [[X, Y], [Y, -X]] has eigenvalues +-lambda_j, and an
+    eigenvector [x; y] for +lambda gives u = x + iy with B conj(u) = lambda u.
+    Real-orthonormal eigenvectors of positive eigenvalues are complex
+    orthonormal, degenerate or not.  Only near lambda = 0 do the +- pairs mix;
+    the nearest unitary (polar factor) of the top n columns repairs that and
+    completes the null block.
     """
-    X = (C.real + C.real.T) / 2.0
-    Y = (C.imag + C.imag.T) / 2.0
-    wx, O = np.linalg.eigh(X)
-    O = O.copy()
-    for J in _cluster_indices(wx, 1e-8):
-        if len(J) > 1:
-            blk = O[:, J].T @ Y @ O[:, J]
-            _, P = np.linalg.eigh((blk + blk.T) / 2.0)
-            O[:, J] = O[:, J] @ P
-    diag = np.einsum("ji,jk,ki->i", O, C.astype(complex), O)
-    return O, diag
-
-
-def takagi(B, sym_tol=1e-8):
-    """Takagi factorization of a complex symmetric matrix via SVD.
-
-    Degenerate singular-value clusters are handled by diagonalizing the
-    symmetric unitary block U^dag B conj(U) restricted to the cluster.
-    """
-    B = np.asarray(B, dtype=complex)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {B.shape}")
-    dev = float(np.max(np.abs(B - B.T)))
-    if dev > sym_tol:
-        raise NotSymmetric(f"|B - B^T| = {dev:.3e} > {sym_tol:.1e}")
-    B = (B + B.T) / 2.0
+    B = check_symmetric(B)
     n = B.shape[0]
-    U, sig, _ = np.linalg.svd(B)
-    basis = U.copy()
-    phases = np.ones(n, dtype=complex)
-    scale = max(1.0, float(sig[0]) if n else 1.0)
-    zero_tol = 1e-13 * scale
-    for J in _cluster_indices(sig, 1e-8 * scale):
-        if sig[J[0]] <= zero_tol:
-            continue  # null block: any orthonormal basis, phase 1
-        UJ = U[:, J]
-        S = UJ.conj().T @ B @ UJ.conj()
-        if len(J) == 1:
-            c = complex(S[0, 0])
-            phases[J[0]] = c / abs(c)
-        else:
-            O, diag = _diag_symmetric_unitary(S / np.mean(sig[J]))
-            basis[:, J] = UJ @ O
-            phases[J] = diag / np.abs(diag)
-    return TakagiFactorization(lambdas=sig, phases=phases, basis=basis)
+    M = np.empty((2 * n, 2 * n))
+    M[:n, :n] = B.real
+    M[:n, n:] = M[n:, :n] = B.imag
+    M[n:, n:] = -B.real
+    vals, vecs = np.linalg.eigh(M)
+    top = vecs[:, : n - 1 : -1]  # eigenvectors of the n largest eigenvalues, descending
+    W, _, Zh = np.linalg.svd(top[:n] + 1j * top[n:])
+    return TakagiFactorization(lambdas=np.maximum(vals[: n - 1 : -1], 0.0), basis=W @ Zh)
 
 
 def real_hadamard(n):
@@ -299,7 +253,7 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
 
     mode="convex" attains the convex roof, mode="concave" the concave roof.
     The decomposition has n members, n the smallest power of two >= dim
-    (members of weight below 1e-12 are dropped), reconstructs omega, and all
+    (members of weight below WEIGHT_TOL are dropped), reconstructs omega, and all
     members share a single g value equal to the roof.
     """
     if mode not in ("convex", "concave"):
@@ -310,8 +264,7 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
     if A.shape[0] != d:
         raise DimMismatch(f"operator dim {A.shape[0]} != state dim {d}")
     if state_rank(omega) == 1:
-        _, vecs = spectral_decomposition(omega)
-        return PureDecomposition((1.0,), (vecs[:, 0],))
+        return spectral_ensemble(omega)
 
     n = 1 << (d - 1).bit_length()
     R = psd_sqrt(omega)
@@ -324,7 +277,6 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
 
     tak = takagi(Bp)
     lam = tak.lambdas
-    Q = tak.basis * np.sqrt(tak.phases.astype(complex))[None, :]
 
     if mode == "concave":
         G = float(lam.sum())
@@ -338,10 +290,10 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
         # roof value ~ 0: pick phases closing the polygon, then a Hadamard
         # frame makes every member value vanish identically (flat at zero).
         targets = _polygon_phases(lam) if mode == "convex" else np.ones(n, dtype=complex)
-        Qp = Q / np.sqrt(targets)[None, :]
+        Qp = tak.basis / np.sqrt(targets)[None, :]
         V = real_hadamard(n).astype(float) / np.sqrt(n)
     else:
-        Qp = Q / np.sqrt(targets)[None, :]
+        Qp = tak.basis / np.sqrt(targets)[None, :]
         D = (targets * lam).real
         H = Qp.conj().T @ omega_p @ Qp
         HR = (H.real + H.real.T) / 2.0
@@ -352,7 +304,7 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
 
     Z = Rp @ Qp @ V
     weights = np.sum(np.abs(Z) ** 2, axis=0)
-    keep = np.flatnonzero(weights > WEIGHT_DROP)
+    keep = np.flatnonzero(weights > WEIGHT_TOL)
     states = tuple(Z[:d, j] / np.sqrt(weights[j]) for j in keep)
     kept = weights[keep]
     kept = kept / kept.sum()

@@ -178,12 +178,7 @@ def cmd_decompose(args):
     elif method == "ed-pair":
         dec = diagonal.ed_qubit_flat_pair(rho)
     else:  # spectral
-        vals, vecs = states.spectral_decomposition(rho)
-        keep = vals > 1e-12
-        dec = states.PureDecomposition(
-            tuple(float(v) for v in vals[keep]),
-            tuple(vecs[:, i] for i in np.flatnonzero(keep)),
-        )
+        dec = states.spectral_ensemble(rho)
     err = dec.reconstruction_error(rho)
     print(serialize.dumps(serialize.decomposition_to_json(dec)), flush=True)
     print(

@@ -24,6 +24,7 @@ from .states import (
     eta,
     qubit_to_bloch,
     spectral_decomposition,
+    spectral_ensemble,
     state_rank,
     validate_density,
 )
@@ -67,7 +68,7 @@ def ed_qubit_flat_pair(omega):
     if omega.shape[0] != 2:
         raise DimMismatch(f"flat pair needs a qubit state, got dim {omega.shape[0]}")
     if state_rank(omega) == 1:
-        return PureDecomposition((1.0,), (_top_eigvec(omega),))
+        return spectral_ensemble(omega)
     x = qubit_to_bloch(omega)
     s = float(np.sqrt(max(0.0, 1.0 - x[0] ** 2 - x[1] ** 2)))
     # mixed state: |x| < 1 forces s > |x3|, so the weight is interior

@@ -25,8 +25,7 @@ from .solver import SolverConfig, minimize_roof, objective_for, verify_roof_poin
 from .states import (
     PureDecomposition,
     eta,
-    spectral_decomposition,
-    state_rank,
+    spectral_ensemble,
     validate_density,
 )
 
@@ -100,14 +99,6 @@ def eof_2qubit(rho):
     )
 
 
-def _spectral_ensemble(omega):
-    vals, vecs = spectral_decomposition(omega)
-    r = state_rank(omega)
-    w = np.clip(vals[:r], 0.0, None)
-    w = w / w.sum()
-    return PureDecomposition(tuple(float(x) for x in w), tuple(vecs[:, j] for j in range(r)))
-
-
 def map_concurrence(T, omega, weight=None):
     """C_T(omega) = sqrt of the subtracted determinant form (closed form)."""
     if weight is None:
@@ -154,10 +145,10 @@ def channel_entanglement(T, omega, config=None):
     c_t = float(np.sqrt(concurrence_sq(T, omega, weight)))
     lower = xi(c_t)
     objective = objective_for(T, "entropy-out")
-    if state_rank(omega) == 1:
+    ensemble = spectral_ensemble(omega)
+    if len(ensemble) == 1:
         value = von_neumann_entropy(apply_map(T, omega))
-        _, vecs = spectral_decomposition(omega)
-        dec = PureDecomposition((1.0,), (vecs[:, 0],))
+        dec = ensemble
         method = "closed_form"
         upper = value
     else:
@@ -165,7 +156,7 @@ def channel_entanglement(T, omega, config=None):
         value = res.value
         dec = res.decomposition
         method = "solver"
-        upper = verify_roof_point(objective, _spectral_ensemble(omega))
+        upper = verify_roof_point(objective, ensemble)
     # a roof of a nonnegative objective: negative values are rounding dust
     value, upper = max(value, 0.0), max(upper, 0.0)
     deviation = max(lower - value, value - upper)

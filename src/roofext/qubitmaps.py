@@ -44,7 +44,7 @@ from .states import (
     PAULI_STACK,
     PureDecomposition,
     psd_sqrt,
-    spectral_decomposition,
+    spectral_ensemble,
     state_rank,
     validate_density,
 )
@@ -398,8 +398,7 @@ def length_two_decomposition(T, rho):
     if rho.shape[0] != 2:
         raise DimMismatch(f"length-two decomposition needs a qubit state, got dim {rho.shape[0]}")
     if state_rank(rho) == 1:
-        _, vecs = spectral_decomposition(rho)
-        return PureDecomposition((1.0,), (vecs[:, 0],))
+        return spectral_ensemble(rho)
     sw = subtraction_weight(T)
     pencil = det_T_form(T)
     M = pencil.matrix(sw.w)

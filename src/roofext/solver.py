@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .states import (
     _TINY,
     PAULI_STACK,
+    WEIGHT_TOL,
     PureDecomposition,
     decomposition_from_isometry,
     eta,
@@ -38,8 +39,6 @@ from .states import (
     state_rank,
     validate_density,
 )
-
-MEMBER_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,11 +272,11 @@ def verify_roof_point(objective, decomposition):
 
 
 def flatness_check(objective, decomposition, tol=1e-6):
-    """(is_flat, spread, member values) over members with weight > 1e-12."""
+    """(is_flat, spread, member values) over members with weight > WEIGHT_TOL."""
     cols = [
         np.asarray(s, complex)
         for p, s in zip(decomposition.weights, decomposition.states)
-        if p > MEMBER_TOL
+        if p > WEIGHT_TOL
     ]
     vals = objective.batch(np.stack(cols, axis=1))
     spread = float(np.max(vals) - np.min(vals)) if len(cols) > 1 else 0.0
@@ -362,18 +361,18 @@ def sqrt_det_output_objective(kraus=None, bloch=None):
 def det_output_objective(kraus=None, bloch=None):
     """w(z) = p * det T(pi); its convex roof relates to the map tangle.
 
-    Gradient: 2 (p ddet - det dp) / p^2, 0 where p <= MEMBER_TOL.
+    Gradient: 2 (p ddet - det dp) / p^2, 0 where p <= WEIGHT_TOL.
     """
     S = _output_forms(kraus, bloch)
 
     def batch(Z):
         p, det = _output_stats(S, Z)
-        return np.divide(det, p, out=np.zeros_like(det), where=p > MEMBER_TOL)
+        return np.divide(det, p, out=np.zeros_like(det), where=p > WEIGHT_TOL)
 
     def grad(Z):
         p, det, dp, ddet = _output_stats(S, Z, grad=True)
         g = 2.0 * (p * ddet - det * dp)
-        return np.divide(g, p * p, out=np.zeros_like(g), where=p > MEMBER_TOL)
+        return np.divide(g, p * p, out=np.zeros_like(g), where=p > WEIGHT_TOL)
 
     return RoofObjective("det-output", batch, grad)
 

@@ -105,6 +105,14 @@ def state_rank(omega, tol=RANK_TOL):
     return int(np.sum(vals > tol))
 
 
+def spectral_ensemble(omega):
+    """Eigenvectors of eigenvalue > RANK_TOL, weighted by their renormalized eigenvalues."""
+    vals, vecs = spectral_decomposition(omega)
+    r = int(np.sum(vals > RANK_TOL))
+    w = vals[:r] / vals[:r].sum()
+    return PureDecomposition(tuple(float(x) for x in w), tuple(vecs[:, j] for j in range(r)))
+
+
 def psd_sqrt(omega):
     """Positive square root R with R @ R = omega (negative fp dust clipped to 0)."""
     vals, vecs = np.linalg.eigh(np.asarray(omega, dtype=complex))
