@@ -32,14 +32,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedOrder,
 )
-from .states import (
-    WEIGHT_TOL,
-    PureDecomposition,
-    psd_sqrt,
-    spectral_ensemble,
-    state_rank,
-    validate_density,
-)
+from .states import PureDecomposition, spectral_ensemble, spectrum
 
 ZERO_TOL = 1e-12
 
@@ -51,8 +44,10 @@ def spin_flip():
 
 def wootters_conjugation():
     """Two-qubit conjugation flip (x) flip; squares to the identity."""
-    F = spin_flip()
-    return np.kron(F, F)
+    return np.array(
+        [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+        dtype=complex,
+    )
 
 
 def check_symmetric(A, tol=1e-8):
@@ -60,10 +55,11 @@ def check_symmetric(A, tol=1e-8):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
-    dev = float(np.max(np.abs(A - A.T)))
+    At = A.T
+    dev = float(np.abs(A - At).max())
     if dev > tol:
         raise NotSymmetric(f"|A - A^T| = {dev:.3e} > {tol:.1e}")
-    return (A + A.T) / 2.0
+    return (A + At) / 2.0
 
 
 def theta_expectation(theta, psi):
@@ -103,15 +99,24 @@ def theta_from_kraus_pair(a1, a2):
     return (M + M.T) / 2.0
 
 
+def _eigenbasis_form(theta, omega):
+    """The Spectrum of omega and B = K^dag A conj(K), K = V diag(sqrt q) its factor.
+
+    With omega = V diag(q) V^dag, sqrt(omega) A sqrt(omega)^T = V B V^T: B is
+    that matrix in omega's eigenbasis, with the same singular values, and a
+    Takagi vector u of B is the Takagi vector V u of it.
+    """
+    A = check_symmetric(theta)
+    sp = spectrum(omega)
+    if A.shape[0] != sp.dim:
+        raise DimMismatch(f"operator dim {A.shape[0]} != state dim {sp.dim}")
+    Kc = sp.factor.conj()
+    return sp, Kc.T @ A @ Kc
+
+
 def lambda_spectrum(theta, omega):
     """Descending singular values of B = sqrt(omega) A sqrt(omega)^T."""
-    A = check_symmetric(theta)
-    omega = validate_density(omega)
-    if A.shape[0] != omega.shape[0]:
-        raise DimMismatch(f"operator dim {A.shape[0]} != state dim {omega.shape[0]}")
-    R = psd_sqrt(omega)
-    B = R @ A @ R.T
-    return np.linalg.svd(B, compute_uv=False)
+    return np.linalg.svd(_eigenbasis_form(theta, omega)[1], compute_uv=False)
 
 
 def roof_values(theta, omega):
@@ -146,7 +151,11 @@ def takagi(B):
     the nearest unitary (polar factor) of the top n columns repairs that and
     completes the null block.
     """
-    B = check_symmetric(B)
+    return _takagi(check_symmetric(B))
+
+
+def _takagi(B):
+    """takagi for a B already known to be complex symmetric."""
     n = B.shape[0]
     M = np.empty((2 * n, 2 * n))
     M[:n, :n] = B.real
@@ -159,13 +168,16 @@ def takagi(B):
 
 
 def real_hadamard(n):
-    """Integer Hadamard matrix of power-of-two order (rows exactly orthogonal)."""
+    """Sylvester Hadamard matrix of power-of-two order n, as integers.
+
+    H_ij = (-1)^popcount(i & j), the entries of the recursion
+    H_2n = [[H_n, H_n], [H_n, -H_n]]; rows are exactly orthogonal and every
+    entry squares to 1.
+    """
     if n < 1 or (n & (n - 1)) != 0:
         raise UnsupportedOrder(f"Hadamard order must be a power of two, got {n}")
-    H = np.ones((1, 1), dtype=int)
-    while H.shape[0] < n:
-        H = np.block([[H, H], [H, -H]])
-    return H
+    i = np.arange(n)
+    return np.where(np.bitwise_count(i[:, None] & i) & 1, -1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +186,23 @@ def real_hadamard(n):
 def _polygon_phases(lams, tol=1e-10):
     """Unimodular phases c_j with sum_j c_j lams_j = 0 (needs l1 <= sum of rest).
 
-    Greedy three-way partition of the descending values, then triangle angles.
+    For descending lams, a = l2 + l4 + ... and b = l3 + l5 + ... satisfy
+    a - b <= l2 <= l1 <= a + b, so l1, a and b close a triangle; the phases
+    of the two groups are its angles at the side l1.
     """
     lams = np.asarray(lams, dtype=float)
-    n = lams.size
-    phases = np.ones(n, dtype=complex)
+    phases = np.ones(lams.size, dtype=complex)
+    l1, a, b = lams[0], lams[1::2].sum(), lams[2::2].sum()
     if lams.sum() <= 1e-15:
         return phases
-    sums = [0.0, 0.0, 0.0]
-    groups = ([], [], [])
-    for i in range(n):
-        g = int(np.argmin(sums))
-        sums[g] += lams[i]
-        groups[g].append(i)
-    order = np.argsort(sums)[::-1]
-    s1, s2, s3 = (sums[k] for k in order)
-    g2, g3 = groups[order[1]], groups[order[2]]
-    if s3 <= 1e-15:
-        for i in g2:
-            phases[i] = -1.0
-    else:
-        cos_a2 = np.clip((s1 * s1 + s2 * s2 - s3 * s3) / (2.0 * s1 * s2), -1.0, 1.0)
-        cos_a3 = np.clip((s1 * s1 + s3 * s3 - s2 * s2) / (2.0 * s1 * s3), -1.0, 1.0)
-        a2 = float(np.arccos(cos_a2))
-        a3 = float(np.arccos(cos_a3))
-        for i in g2:
-            phases[i] = np.exp(1j * (np.pi - a2))
-        for i in g3:
-            phases[i] = np.exp(1j * (np.pi + a3))
+
+    def angle(x, y):  # between the sides l1 and x, opposite y
+        if x <= 1e-15:
+            return 0.0
+        return np.arccos(np.clip((l1 * l1 + x * x - y * y) / (2.0 * l1 * x), -1.0, 1.0))
+
+    phases[1::2] = -np.exp(-1j * angle(a, b))
+    phases[2::2] = -np.exp(1j * angle(b, a))
     closure = abs(complex(np.sum(phases * lams)))
     if closure > tol * max(1.0, float(lams[0])):
         raise RoofextError(f"phase polygon failed to close: residual {closure:.3e}")
@@ -209,43 +210,16 @@ def _polygon_phases(lams, tol=1e-10):
 
 
 def _zero_diagonal_rotation(M):
-    """Real orthogonal V with diag(V^T M V) ~ 0 for traceless symmetric M.
+    """Real orthogonal V with diag(V^T M V) = 0 for traceless symmetric M of order 2^k.
 
-    Givens sweep: repeatedly rotate the extreme diagonal pair so the largest
-    entry becomes zero, then freeze it; the final entry vanishes by trace.
+    V = O H / sqrt(n) with O the eigenvectors of M and H the Sylvester
+    Hadamard matrix: V^T M V = H^T diag(mu) H / n has diagonal entries
+    sum_i H_ij^2 mu_i / n = tr M / n = 0, since every H_ij^2 = 1.  So one
+    eigensolve zeroes the whole diagonal, to rounding, in any order n that
+    a Hadamard matrix exists for.
     """
-    M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    W = M.copy()
-    V = np.eye(n)
-    active = list(range(n))
-    scale = max(1.0, float(np.max(np.abs(np.diag(W)))) if n else 1.0)
-    eps = 1e-13 * scale
-    for _ in range(n - 1):
-        diag = np.array([W[i, i] for i in active])
-        hi = int(np.argmax(diag))
-        lo = int(np.argmin(diag))
-        if diag[hi] <= eps and diag[lo] >= -eps:
-            active.pop()
-            continue
-        a, b = active[hi], active[lo]
-        Maa, Mbb, Mab = W[a, a], W[b, b], W[a, b]
-        disc = Mab * Mab - Maa * Mbb
-        if disc < 0.0:  # same-sign fp dust; freeze the smaller entry
-            active.remove(a if abs(Maa) <= abs(Mbb) else b)
-            continue
-        sq = np.sqrt(disc)
-        qq = -(Mab + sq) if Mab >= 0.0 else -(Mab - sq)
-        t = Maa / qq if qq != 0.0 else 0.0
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        rot = np.array([[c, -s], [s, c]])
-        V[:, [a, b]] = V[:, [a, b]] @ rot
-        W[:, [a, b]] = W[:, [a, b]] @ rot
-        W[[a, b], :] = rot.T @ W[[a, b], :]
-        W[a, a] = 0.0
-        active.remove(a)
-    return V
+    return np.linalg.eigh(M)[1] @ (real_hadamard(n) / np.sqrt(n))
 
 
 def flat_optimal_decomposition(theta, omega, mode="convex"):
@@ -258,24 +232,17 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
     """
     if mode not in ("convex", "concave"):
         raise ConfigError(f"mode must be 'convex' or 'concave', got {mode!r}")
-    A = check_symmetric(theta)
-    omega = validate_density(omega)
-    d = omega.shape[0]
-    if A.shape[0] != d:
-        raise DimMismatch(f"operator dim {A.shape[0]} != state dim {d}")
-    if state_rank(omega) == 1:
-        return spectral_ensemble(omega)
+    sp, B = _eigenbasis_form(theta, omega)
+    if sp.rank == 1:
+        return spectral_ensemble(sp)
 
+    # B is the form in omega's eigenbasis, where omega is diag(q); a member
+    # with coefficients c there is the state K c (see _eigenbasis_form).
+    d = sp.dim
     n = 1 << (d - 1).bit_length()
-    R = psd_sqrt(omega)
     Bp = np.zeros((n, n), dtype=complex)
-    Bp[:d, :d] = R @ A @ R.T
-    Rp = np.zeros((n, n), dtype=complex)
-    Rp[:d, :d] = R
-    omega_p = np.zeros((n, n), dtype=complex)
-    omega_p[:d, :d] = omega
-
-    tak = takagi(Bp)
+    Bp[:d, :d] = (B + B.T) / 2.0
+    tak = _takagi(Bp)
     lam = tak.lambdas
 
     if mode == "concave":
@@ -285,27 +252,20 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
         G = float(lam[0] - lam[1:].sum())
         targets = -np.ones(n, dtype=complex)
         targets[0] = 1.0
+        if G <= ZERO_TOL:
+            targets = _polygon_phases(lam)  # sum_j c_j lam_j = 0
+    Q = tak.basis[:d] / np.sqrt(targets)[None, :]
 
     if G <= ZERO_TOL:
-        # roof value ~ 0: pick phases closing the polygon, then a Hadamard
-        # frame makes every member value vanish identically (flat at zero).
-        targets = _polygon_phases(lam) if mode == "convex" else np.ones(n, dtype=complex)
-        Qp = tak.basis / np.sqrt(targets)[None, :]
-        V = real_hadamard(n).astype(float) / np.sqrt(n)
+        # roof value ~ 0: with the phases above, a Hadamard frame makes every
+        # member value vanish identically (flat at zero).
+        V = real_hadamard(n) / np.sqrt(n)
     else:
-        Qp = tak.basis / np.sqrt(targets)[None, :]
-        D = (targets * lam).real
-        H = Qp.conj().T @ omega_p @ Qp
-        HR = (H.real + H.real.T) / 2.0
-        M = np.diag(D) - G * HR
-        M = (M + M.T) / 2.0
-        M -= (np.trace(M) / n) * np.eye(n)
+        # M = diag(targets * lam) - G Re(Q^dag diag(q) Q), made traceless;
+        # eigh reads only its lower triangle, so it needs no symmetrizing.
+        M = -G * ((Q.conj().T * sp.values) @ Q).real
+        M.flat[:: n + 1] += (targets * lam).real
+        M.flat[:: n + 1] -= M.trace() / n
         V = _zero_diagonal_rotation(M)
 
-    Z = Rp @ Qp @ V
-    weights = np.sum(np.abs(Z) ** 2, axis=0)
-    keep = np.flatnonzero(weights > WEIGHT_TOL)
-    states = tuple(Z[:d, j] / np.sqrt(weights[j]) for j in keep)
-    kept = weights[keep]
-    kept = kept / kept.sum()
-    return PureDecomposition(tuple(kept), states)
+    return PureDecomposition.from_columns(sp.factor @ Q @ V)

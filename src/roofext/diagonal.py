@@ -25,7 +25,7 @@ from .states import (
     qubit_to_bloch,
     spectral_decomposition,
     spectral_ensemble,
-    state_rank,
+    spectrum,
     validate_density,
 )
 
@@ -43,10 +43,7 @@ def ed_qubit(omega):
     With Bloch components (x1, x2, x3) and s = sqrt(1 - x1^2 - x2^2), this is
     the binary entropy of (1 + s)/2 — independent of x3.
     """
-    omega = validate_density(omega)
-    if omega.shape[0] != 2:
-        raise DimMismatch(f"closed form needs a qubit state, got dim {omega.shape[0]}")
-    x = qubit_to_bloch(omega)
+    x = qubit_to_bloch(validate_density(omega, dim=2))
     s = float(np.sqrt(max(0.0, 1.0 - x[0] ** 2 - x[1] ** 2)))
     p = (1.0 + s) / 2.0
     return eta(p) + eta(1.0 - p)
@@ -64,12 +61,10 @@ def ed_qubit_flat_pair(omega):
     (the diagonal is symmetric in the sign of x3), and the average equals
     ed_qubit.  A pure input yields a single-term decomposition.
     """
-    omega = validate_density(omega)
-    if omega.shape[0] != 2:
-        raise DimMismatch(f"flat pair needs a qubit state, got dim {omega.shape[0]}")
-    if state_rank(omega) == 1:
-        return spectral_ensemble(omega)
-    x = qubit_to_bloch(omega)
+    sp = spectrum(omega, dim=2)
+    if sp.rank == 1:
+        return spectral_ensemble(sp)
+    x = qubit_to_bloch(sp.matrix)
     s = float(np.sqrt(max(0.0, 1.0 - x[0] ** 2 - x[1] ** 2)))
     # mixed state: |x| < 1 forces s > |x3|, so the weight is interior
     p_hi = (1.0 + x[2] / s) / 2.0
@@ -160,11 +155,7 @@ class EmbeddingSpec:
 
 def embed_state(spec, omega):
     """V omega V^dag; the image diagonal is |y_jk|^2 <j|omega|j>."""
-    omega = validate_density(omega)
-    if omega.shape[0] != spec.source_dim:
-        raise DimMismatch(
-            f"state dim {omega.shape[0]} != embedding source dim {spec.source_dim}"
-        )
+    omega = validate_density(omega, dim=spec.source_dim)
     V = spec.isometry()
     return V @ omega @ V.conj().T
 
@@ -175,12 +166,7 @@ def embedding_offset(spec, omega):
     The diagonal-channel entanglement shifts by exactly this much under the
     embedding: E(V omega V^dag) = E(omega) + l(omega).
     """
-    omega = validate_density(omega)
-    if omega.shape[0] != spec.source_dim:
-        raise DimMismatch(
-            f"state dim {omega.shape[0]} != embedding source dim {spec.source_dim}"
-        )
-    diag = np.real(np.diag(omega))
+    diag = np.real(np.diag(validate_density(omega, dim=spec.source_dim)))
     return float(
         sum(
             diag[j] * float(np.sum(eta(np.abs(y) ** 2)))
@@ -196,9 +182,7 @@ def qubit_split_embedding():
 
 def embed_qubit_pair(omega):
     """Two-qubit image of a qubit state under |j> -> |jj>; its EoF is ed_qubit(omega)."""
-    omega = validate_density(omega)
-    if omega.shape[0] != 2:
-        raise DimMismatch(f"needs a qubit state, got dim {omega.shape[0]}")
+    omega = validate_density(omega, dim=2)
     V = np.zeros((4, 2), dtype=complex)
     V[0, 0] = 1.0
     V[3, 1] = 1.0

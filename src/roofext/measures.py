@@ -13,20 +13,14 @@ from typing import Optional
 import numpy as np
 
 from .antilinear import lambda_spectrum, wootters_conjugation
-from .errors import DimMismatch, OutOfRange, RoofextError
-from .qubitmaps import (
-    QubitStochasticMap,
-    apply_map,
-    axial_tangle,
-    concurrence_sq,
-    subtraction_weight,
-)
-from .solver import SolverConfig, minimize_roof, objective_for, verify_roof_point
+from .errors import OutOfRange, RoofextError
+from .qubitmaps import apply_map, axial_tangle, concurrence_sq, subtraction_weight
+from .solver import minimize_roof, objective_for, verify_roof_point
 from .states import (
     PureDecomposition,
     eta,
     spectral_ensemble,
-    validate_density,
+    spectrum,
 )
 
 
@@ -79,11 +73,7 @@ def partial_trace_kraus():
 
 def concurrence_2qubit(rho):
     """Two-qubit concurrence 2 max(0, l1 - l2 - l3 - l4) from the flip spectrum."""
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise DimMismatch(f"two-qubit concurrence needs dim 4, got {rho.shape[0]}")
-    theta = wootters_conjugation() / 2.0
-    lam = lambda_spectrum(theta, rho)
+    lam = lambda_spectrum(wootters_conjugation() / 2.0, spectrum(rho, dim=4))
     val = 2.0 * max(0.0, float(lam[0] - lam[1:].sum()))
     return MeasureReport(quantity="concurrence", value=val, method="closed_form")
 
@@ -114,13 +104,13 @@ def map_concurrence(T, omega, weight=None):
 
 def channel_tangle(T, omega, config=None):
     """tau_T(omega): closed form for axial maps, roof-solver for anything else."""
-    omega = validate_density(omega)
+    sp = spectrum(omega)
     if T.kind == "axial":
         a, b, g = T.params
         return MeasureReport(
-            quantity="tangle", value=axial_tangle(a, b, g, omega), method="closed_form"
+            quantity="tangle", value=axial_tangle(a, b, g, sp.matrix), method="closed_form"
         )
-    res = minimize_roof(objective_for(T, "det-out"), omega, config)
+    res = minimize_roof(objective_for(T, "det-out"), sp, config)
     return MeasureReport(
         quantity="tangle",
         value=4.0 * res.value,
@@ -138,21 +128,20 @@ def channel_entanglement(T, omega, config=None):
     bound are clamped at 0, and the bracket is widened to hold the value when
     it misses by at most BRACKET_TOL; a larger miss raises RoofextError.
     """
-    omega = validate_density(omega)
-    if omega.shape[0] != 2:
-        raise DimMismatch(f"channel entanglement needs a qubit state, got dim {omega.shape[0]}")
+    sp = spectrum(omega, dim=2)
+    omega = sp.matrix
     weight = subtraction_weight(T)
     c_t = float(np.sqrt(concurrence_sq(T, omega, weight)))
     lower = xi(c_t)
     objective = objective_for(T, "entropy-out")
-    ensemble = spectral_ensemble(omega)
+    ensemble = spectral_ensemble(sp)
     if len(ensemble) == 1:
         value = von_neumann_entropy(apply_map(T, omega))
         dec = ensemble
         method = "closed_form"
         upper = value
     else:
-        res = minimize_roof(objective, omega, config)
+        res = minimize_roof(objective, sp, config)
         value = res.value
         dec = res.decomposition
         method = "solver"
@@ -194,12 +183,12 @@ def bound_suite(T, omega, config=None, strict=True):
     With strict=True a violated inequality raises (the CLI maps that to the
     invariant-violation exit code); otherwise the verdicts are just reported.
     """
-    omega = validate_density(omega)
+    sp = spectrum(omega)
     weight = subtraction_weight(T)
-    c_sq = concurrence_sq(T, omega, weight)
-    tau = channel_tangle(T, omega, config).value
+    c_sq = concurrence_sq(T, sp.matrix, weight)
+    tau = channel_tangle(T, sp, config).value
     xi_c = xi(float(np.sqrt(c_sq)))
-    ent = channel_entanglement(T, omega, config).value
+    ent = channel_entanglement(T, sp, config).value
     tangle_ok = bool(tau >= c_sq - 1e-9)
     entanglement_ok = bool(ent >= xi_c - 5e-3)
     if strict and not tangle_ok:

@@ -31,7 +31,6 @@ import numpy as np
 from .antilinear import check_symmetric, lambda_spectrum
 from .errors import (
     DegeneratePencil,
-    DimMismatch,
     EmptyInterval,
     NotPSD,
     NotStandardForm,
@@ -43,9 +42,8 @@ from .errors import (
 from .states import (
     PAULI_STACK,
     PureDecomposition,
-    psd_sqrt,
     spectral_ensemble,
-    state_rank,
+    spectrum,
     validate_density,
 )
 
@@ -260,9 +258,7 @@ def subtraction_weight(T, psd_tol=1e-9):
 
 def concurrence_sq(T, rho, weight=None):
     """C_T(rho)^2 = 4 (det T(rho) - w_lo det rho), clamped at zero."""
-    rho = validate_density(rho)
-    if rho.shape[0] != 2:
-        raise DimMismatch(f"subtraction procedure needs a qubit state, got dim {rho.shape[0]}")
+    rho = validate_density(rho, dim=2)
     if weight is None:
         weight = subtraction_weight(T)
     val = 4.0 * (np.linalg.det(apply_map(T, rho)).real - weight.w * np.linalg.det(rho).real)
@@ -300,9 +296,7 @@ def axial_tangle(alpha, beta, gamma, rho):
     ball.  Normalized so tau(pure) = 4 det T(pure) = C_T(pure)^2.
     """
     a, b, g = _axial_params(alpha, beta, gamma)
-    rho = validate_density(rho)
-    if rho.shape[0] != 2:
-        raise DimMismatch(f"axial tangle needs a qubit state, got dim {rho.shape[0]}")
+    rho = validate_density(rho, dim=2)
     m = a + g - 1.0
     w = b * b if abs(b) >= abs(m) else m * m
     T = axial_map(a, b, g)
@@ -356,16 +350,14 @@ def concurrence_general_two_kraus(theta, omega):
     and insists the two agree: a failure signals a non-symmetric theta or a
     broken spectrum routine.
     """
-    omega = validate_density(omega)
-    if omega.shape[0] != 2:
-        raise DimMismatch(f"two-Kraus concurrence needs a qubit state, got dim {omega.shape[0]}")
+    sp = spectrum(omega, dim=2)
     A = check_symmetric(theta)
-    lam = lambda_spectrum(A, omega)
+    lam = lambda_spectrum(A, sp)
     diff = float(lam[0] - lam[1])
-    R = psd_sqrt(omega)
-    Bm = R @ A @ R.T
+    Kc = sp.factor.conj()
+    Bm = Kc.T @ A @ Kc  # sqrt(omega) A sqrt(omega)^T in omega's eigenbasis
     alt = float(np.trace(Bm @ Bm.conj()).real) - 2.0 * float(
-        np.linalg.det(omega).real
+        np.linalg.det(sp.matrix).real
     ) * abs(np.linalg.det(A))
     if abs(alt - diff * diff) > 1e-9 * max(1.0, diff * diff):
         raise RoofextError(
@@ -394,11 +386,10 @@ def length_two_decomposition(T, rho):
     have the concurrence of rho.  Another null direction can give a
     decomposition whose average is above the roof.
     """
-    rho = validate_density(rho)
-    if rho.shape[0] != 2:
-        raise DimMismatch(f"length-two decomposition needs a qubit state, got dim {rho.shape[0]}")
-    if state_rank(rho) == 1:
-        return spectral_ensemble(rho)
+    sp = spectrum(rho, dim=2)
+    if sp.rank == 1:
+        return spectral_ensemble(sp)
+    rho = sp.matrix
     sw = subtraction_weight(T)
     pencil = det_T_form(T)
     M = pencil.matrix(sw.w)

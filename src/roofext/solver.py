@@ -35,9 +35,7 @@ from .states import (
     PureDecomposition,
     decomposition_from_isometry,
     eta,
-    spectral_decomposition,
-    state_rank,
-    validate_density,
+    spectrum,
 )
 
 
@@ -50,6 +48,17 @@ class SolverConfig:
     seed: int = 0
     fd_step: float = 1e-6
     stall_iters: int = 50
+
+    def __post_init__(self):
+        for field, ok, need in (
+            ("restarts", self.restarts >= 1, ">= 1"),
+            ("max_iters", self.max_iters >= 1, ">= 1"),
+            ("stall_iters", self.stall_iters >= 1, ">= 1"),
+            ("tol", self.tol >= 0.0, ">= 0"),
+            ("fd_step", self.fd_step > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{field} must be {need}, got {getattr(self, field)!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,7 +178,7 @@ def _multistart(value_fn, grad_fn, first, cfg):
     Restart 0 starts at `first`; every other restart at a random point drawn
     from its own spawned seed.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.restarts, 1))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.default_rng(s) for s in seeds[1:]]
     G = np.array([rng.normal(size=first.shape) + 1j * rng.normal(size=first.shape) for rng in rngs])
     V0 = np.concatenate([first[None], stiefel_retract(G.reshape(-1, *first.shape))])
@@ -220,11 +229,9 @@ def _roof_closures(objective, K, fd_step):
 def minimize_roof(objective, omega, config=None):
     """Best decomposition average of the objective over St(L, r), minimized."""
     cfg = config if config is not None else SolverConfig()
-    omega = validate_density(omega)
-    d = omega.shape[0]
-    vals, vecs = spectral_decomposition(omega)
-    r = state_rank(omega)
-    K = vecs[:, :r] * np.sqrt(np.clip(vals[:r], 0.0, None))[None, :]
+    sp = spectrum(omega)
+    d, r = sp.dim, sp.rank
+    K = sp.factor[:, :r]
     L = cfg.members if cfg.members is not None else min(d * d, max(2 * r, 4))
     if L < r:
         raise ConfigError(f"members={L} is below the state rank {r}")
@@ -238,7 +245,7 @@ def minimize_roof(objective, omega, config=None):
     P = _projected(V[best], grad_fn(V[best][None])[0])
     return RoofResult(
         value=float(F[best]),
-        decomposition=decomposition_from_isometry(omega, V[best]),
+        decomposition=decomposition_from_isometry(sp, V[best]),
         objective=objective.name,
         mode="min",
         iterations=int(its.sum()),

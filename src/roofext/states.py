@@ -3,8 +3,10 @@
 Conventions used throughout the package:
 
 * density operators are plain complex numpy arrays (trace one, Hermitian, PSD);
-  ``validate_density`` is the single entry point that checks and normalizes the
-  dtype,
+  ``validate_density`` checks them and normalizes the dtype, and ``spectrum``
+  makes the same checks and keeps the one eigendecomposition that every
+  closed form reads (eigenvalues, eigenvectors, rank, and the factor K with
+  K K^dag = omega),
 * pure states are unit-norm 1-d arrays,
 * a pure decomposition is a list of (weight, state) pairs wrapped in
   :class:`PureDecomposition`,
@@ -14,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -57,23 +60,81 @@ def eta(x):
     return x * -np.log(x + _TINY)
 
 
-def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR):
-    """Check that ``matrix`` is a density operator and return it as complex128.
+def _validated(matrix, vectors, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR):
+    """The density checks around one eigh (vectors=True) or eigvalsh of (omega + omega^dag)/2.
 
-    Raises NotHermitian / TraceNotOne / NotPSD with the measured deviation.
+    Returns omega as complex128, the ascending eigenvalues and the eigenvectors (or None).
     """
     omega = np.asarray(matrix, dtype=complex)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {omega.shape}")
-    herm_dev = float(np.max(np.abs(omega - omega.conj().T)))
+    adj = omega.conj().T
+    herm_dev = float(np.abs(omega - adj).max())
     if herm_dev > herm_tol:
         raise NotHermitian(f"|omega - omega^dag| = {herm_dev:.3e} > {herm_tol:.1e}")
-    trace_dev = abs(complex(np.trace(omega)) - 1.0)
+    trace_dev = abs(complex(omega.trace()) - 1.0)
     if trace_dev > trace_tol:
         raise TraceNotOne(f"|Tr omega - 1| = {trace_dev:.3e} > {trace_tol:.1e}")
-    min_eig = float(np.linalg.eigvalsh((omega + omega.conj().T) / 2.0)[0])
+    herm = (omega + adj) / 2.0
+    vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    min_eig = float(vals[0])
     if min_eig < eig_floor:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
+    return omega, vals, vecs
+
+
+def _check_dim(omega, dim):
+    if dim is not None and omega.shape[0] != dim:
+        raise DimMismatch(f"expected a state of dim {dim}, got dim {omega.shape[0]}")
+
+
+def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR, dim=None):
+    """Check that ``matrix`` is a density operator (of dimension ``dim``, if given).
+
+    Returns it as complex128.  Raises NotHermitian / TraceNotOne / NotPSD
+    with the measured deviation, and DimMismatch after those checks.
+    """
+    omega = _validated(matrix, False, herm_tol, trace_tol, eig_floor)[0]
+    _check_dim(omega, dim)
+    return omega
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A validated density operator with everything its one eigensolve gives.
+
+    ``matrix`` is omega as complex128; ``values`` (descending) and the
+    matching ``vectors`` columns come from one eigh of (omega + omega^dag)/2;
+    ``rank`` counts the values above RANK_TOL.  ``factor``, formed on first
+    use, is K = vectors * sqrt(values): K K^dag = omega, and the positive
+    square root is K vectors^dag.  Build the record with :func:`spectrum`.
+    """
+
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    rank: int
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+    @functools.cached_property
+    def factor(self):
+        return self.vectors * np.sqrt(np.clip(self.values, 0.0, None))
+
+
+def spectrum(omega, dim=None):
+    """Validate omega as validate_density does and return its :class:`Spectrum`.
+
+    A Spectrum passes through unchanged, so every function that validates
+    its state through here (the closed forms, the flat and spectral
+    decompositions, the solver) accepts a record in place of the matrix.
+    """
+    if not isinstance(omega, Spectrum):
+        matrix, vals, vecs = _validated(omega, True)
+        omega = Spectrum(matrix, vals[::-1], vecs[:, ::-1], int(np.count_nonzero(vals > RANK_TOL)))
+    _check_dim(omega.matrix, dim)
     return omega
 
 
@@ -107,10 +168,10 @@ def state_rank(omega, tol=RANK_TOL):
 
 def spectral_ensemble(omega):
     """Eigenvectors of eigenvalue > RANK_TOL, weighted by their renormalized eigenvalues."""
-    vals, vecs = spectral_decomposition(omega)
-    r = int(np.sum(vals > RANK_TOL))
-    w = vals[:r] / vals[:r].sum()
-    return PureDecomposition(tuple(float(x) for x in w), tuple(vecs[:, j] for j in range(r)))
+    sp = spectrum(omega)
+    r = sp.rank
+    w = sp.values[:r] / sp.values[:r].sum()
+    return PureDecomposition(tuple(float(x) for x in w), tuple(sp.vectors[:, j] for j in range(r)))
 
 
 def psd_sqrt(omega):
@@ -146,12 +207,22 @@ class PureDecomposition:
         total_dev = abs(sum(weights) - 1.0)
         if total_dev > 1e-10:
             raise TraceNotOne(f"|sum p - 1| = {total_dev:.3e} > 1e-10")
-        for s in states:
-            nrm = float(np.linalg.norm(s))
-            if abs(nrm - 1.0) > 1e-10:
-                raise NotIsometry(f"member norm deviation {abs(nrm - 1.0):.3e} > 1e-10")
+        norm_dev = float(np.abs(np.linalg.norm(np.array(states), axis=1) - 1.0).max())
+        if norm_dev > 1e-10:
+            raise NotIsometry(f"member norm deviation {norm_dev:.3e} > 1e-10")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
+
+    @classmethod
+    def from_columns(cls, Z):
+        """Members z_j / |z_j| with weights |z_j|^2 (renormalized) from the columns z_j of Z.
+
+        Columns of weight at most WEIGHT_TOL are dropped.
+        """
+        weights = np.sum(np.abs(Z) ** 2, axis=0)
+        keep = weights > WEIGHT_TOL
+        kept = weights[keep]
+        return cls(tuple(kept / kept.sum()), tuple((Z[:, keep] / np.sqrt(kept)).T))
 
     @property
     def dim(self):
@@ -177,7 +248,7 @@ def decomposition_from_isometry(omega, isometry):
     ``|phi_j> = sum_k V_jk sqrt(q_k) |e_k>``; any isometry V (V^dag V = 1_r)
     yields a valid decomposition and all decompositions arise this way.
     """
-    omega = validate_density(omega)
+    sp = spectrum(omega)
     V = np.asarray(isometry, dtype=complex)
     if V.ndim != 2:
         raise NotIsometry(f"expected a 2-d array, got shape {V.shape}")
@@ -185,20 +256,11 @@ def decomposition_from_isometry(omega, isometry):
     gram_dev = float(np.max(np.abs(V.conj().T @ V - np.eye(r))))
     if gram_dev > 1e-10:
         raise NotIsometry(f"|V^dag V - 1| = {gram_dev:.3e} > 1e-10")
-    rank = state_rank(omega)
-    if r != rank:
-        raise DimMismatch(f"isometry has {r} columns but the state has rank {rank}")
+    if r != sp.rank:
+        raise DimMismatch(f"isometry has {r} columns but the state has rank {sp.rank}")
     if L < r:
         raise NotIsometry(f"need at least rank many members, got L={L} < r={r}")
-    vals, vecs = spectral_decomposition(omega)
-    K = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
-    members = K @ V.T  # column j = |phi_j>
-    weights = np.sum(np.abs(members) ** 2, axis=0)
-    keep = weights > WEIGHT_TOL
-    kept_w = weights[keep]
-    kept_states = [members[:, j] / np.sqrt(weights[j]) for j in range(L) if keep[j]]
-    kept_w = kept_w / kept_w.sum()
-    return PureDecomposition(tuple(kept_w), tuple(kept_states))
+    return PureDecomposition.from_columns(sp.factor[:, :r] @ V.T)
 
 
 def random_pure(dim, seed=None):

@@ -11,6 +11,8 @@ from roofext import (
     UnsupportedOrder,
     bell_state,
     check_symmetric,
+    concurrence_2qubit,
+    eof_2qubit,
     flat_optimal_decomposition,
     lambda_spectrum,
     maximally_mixed,
@@ -28,7 +30,7 @@ from roofext import (
     werner_state,
     wootters_conjugation,
 )
-from roofext.antilinear import real_hadamard
+from roofext.antilinear import _zero_diagonal_rotation, real_hadamard
 from roofext.solver import flatness_check, theta_form_objective, verify_roof_point
 
 complex_2x2 = arrays(
@@ -175,8 +177,9 @@ def test_takagi_degenerate_clusters(case):
     B = Q @ np.diag([1.5, 1.5, 1.5, 0.2]) @ Q.T
     tak = takagi(B)
     np.testing.assert_allclose(tak.reconstruct(), B, atol=1e-8)
-    # B = R A R^T zero-padded to a power of two, as the flat decomposition
-    # builds it: tiny singular values merge with the exact null block
+    # B = R A R^T zero-padded to a power of two, unitarily equivalent to the
+    # form the flat decomposition builds: tiny singular values merge with the
+    # exact null block
     A, omega = case
     d = A.shape[0]
     n = 1 << (d - 1).bit_length()
@@ -250,6 +253,93 @@ def test_flat_decomposition_zero_roof():
 def test_flat_decomposition_bad_mode():
     with pytest.raises(ConfigError):
         flat_optimal_decomposition(wootters_conjugation(), maximally_mixed(4), mode="upper")
+
+
+def test_flat_decomposition_has_no_light_outliers():
+    # rank-2 and rank-3 two-qubit states: a Givens zeroing frame can leave
+    # members of weight ~1e-12 here, with values up to 5e-6 off the roof
+    theta = wootters_conjugation() / 2.0
+    obj = theta_form_objective(theta)
+    g = np.random.default_rng(3)
+    for i in range(2000):
+        omega = random_density(4, rank=int(g.integers(2, 4)), seed=g)
+        dec = flat_optimal_decomposition(theta, omega, mode="convex")
+        assert dec.reconstruction_error(omega) <= 1e-8
+        flat, spread, _ = flatness_check(obj, dec, tol=1e-8)
+        assert flat, f"state {i}: spread {spread:.3e} over weights >= {min(dec.weights):.3e}"
+
+
+def _counting_linalg(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_closed_form_lapack_budget(monkeypatch):
+    # one eigensolve of the state; then one SVD for the spectrum, or the
+    # Takagi eigensolve and polar SVD plus one eigensolve for the rotation
+    calls = _counting_linalg(monkeypatch)
+    g = np.random.default_rng(4)
+    theta2q = wootters_conjugation() / 2.0
+    for d, rank in ((4, 2), (4, 4), (3, 3), (5, 4), (8, 8)):
+        A = _random_symmetric(d, d)
+        omega = random_density(d, rank=rank, seed=g)
+        budgets = [
+            (lambda: roof_values(A, omega), 2),
+            (lambda: flat_optimal_decomposition(A, omega, mode="convex"), 4),
+            (lambda: flat_optimal_decomposition(A, omega, mode="concave"), 4),
+        ]
+        if d == 4:
+            budgets += [
+                (lambda: concurrence_2qubit(omega), 2),
+                (lambda: eof_2qubit(omega), 2),
+                (lambda: flat_optimal_decomposition(theta2q, omega), 4),
+            ]
+        for call, budget in budgets:
+            calls.clear()
+            call()
+            assert len(calls) <= budget, calls
+
+
+def _traceless_cases(n, g):
+    G = g.normal(size=(n, n))
+    yield (G + G.T) / 2.0  # random
+    yield np.diag(np.linspace(1.0, 2.0, n))  # positive diagonal, traced out below
+    Q, _ = np.linalg.qr(g.normal(size=(n, n)))
+    yield (Q * np.repeat([3.0, -1.0], max(1, n // 2))[:n]) @ Q.T  # degenerate spectrum
+    yield np.zeros((n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_zero_diagonal_rotation(n):
+    g = np.random.default_rng(n)
+    for M in _traceless_cases(n, g):
+        M = M - (np.trace(M) / n) * np.eye(n)
+        V = _zero_diagonal_rotation(M)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-14
+        bound = 1e-14 * max(1.0, float(np.max(np.abs(M))))
+        assert np.max(np.abs(np.diag(V.T @ M @ V))) <= bound
+
+
+def _sylvester(n):
+    H = np.ones((1, 1), dtype=int)
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_real_hadamard_matches_sylvester_doubling(n):
+    H = real_hadamard(n)
+    assert H.dtype == _sylvester(n).dtype
+    assert np.array_equal(H, _sylvester(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])

@@ -154,6 +154,13 @@ def test_solve_diag_entropy(qubit_file, capsys):
     assert abs(sum(weights) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-iters", "0")])
+def test_solve_rejects_an_empty_search_exits_4(qubit_file, flag, value, capsys):
+    argv = ["solve", "--state", qubit_file, "--objective", "diag-entropy", flag, value]
+    assert main(argv) == 4
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+
+
 def test_decompose_flat_convex(bell_file, capsys):
     code = main(["decompose", "--state", bell_file, "--method", "flat-convex"])
     assert code == 0

@@ -252,6 +252,30 @@ def test_diagonal_channel_objective_matches_bloch(rng):
     assert abs(v1 - v2) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tol", -1.0),
+        ("tol", float("nan")),
+        ("restarts", 0),
+        ("restarts", -2),
+        ("max_iters", 0),
+        ("stall_iters", 0),
+        ("fd_step", 0.0),
+        ("fd_step", -1e-6),
+    ],
+)
+def test_solver_config_rejects_misleading_values(field, value):
+    # a negative tol used to be squared into a positive one: every restart
+    # then stopped on "gradient" after one step and reported converged
+    with pytest.raises(ConfigError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_its_edges():
+    SolverConfig(tol=0.0, restarts=1, max_iters=1, stall_iters=1, fd_step=1e-12)
+
+
 def test_stop_reason_armijo_is_not_converged():
     # with tol = 0 neither the gradient test nor the stall count can fire, so
     # the descent ends when backtracking finds no decrease at the noise floor

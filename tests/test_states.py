@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from roofext import (
+    DimMismatch,
     NotHermitian,
     NotIsometry,
     NotPSD,
@@ -29,11 +30,13 @@ from roofext import (
     random_pure,
     random_unitary,
     spectral_decomposition,
+    spectrum,
     state_rank,
     validate_density,
     werner_state,
 )
 from roofext.measures import eta
+from roofext.states import spectral_ensemble
 
 
 def test_validate_density_rejects_nonhermitian():
@@ -51,6 +54,43 @@ def test_validate_density_rejects_negative():
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(NotPSD):
         validate_density(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 3)),
+        np.array([[0.5, 0.1], [0.3, 0.5]]),
+        np.eye(2),
+        np.diag([1.2, -0.2]),
+    ],
+)
+def test_spectrum_raises_what_validate_density_raises(bad):
+    with pytest.raises(Exception) as expected:
+        validate_density(bad)
+    with pytest.raises(type(expected.value)) as got:
+        spectrum(bad)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("d,rank", [(2, 1), (3, 2), (4, 4), (8, 5)])
+def test_spectrum_record(rng, d, rank):
+    rho = random_density(d, rank=rank, seed=rng)
+    sp = spectrum(rho)
+    assert spectrum(sp) is sp is spectrum(sp, dim=d)
+    with pytest.raises(DimMismatch):
+        spectrum(sp, dim=d + 1)
+    assert sp.dim == d and sp.rank == rank == state_rank(rho)
+    assert np.array_equal(sp.matrix, rho)
+    assert np.all(np.diff(sp.values) <= 0.0)
+    np.testing.assert_allclose(sp.values, spectral_decomposition(rho)[0], atol=1e-14)
+    np.testing.assert_allclose((sp.vectors * sp.values) @ sp.vectors.conj().T, rho, atol=1e-14)
+    K = sp.factor
+    np.testing.assert_allclose(K @ K.conj().T, rho, atol=1e-14)
+    np.testing.assert_allclose(K @ sp.vectors.conj().T, psd_sqrt(rho), atol=1e-12)
+    ens = spectral_ensemble(sp)
+    assert len(ens) == rank
+    assert ens.reconstruction_error(rho) < 1e-12
 
 
 def test_spectral_decomposition_descending_and_reconstructs(rng):
@@ -83,6 +123,13 @@ def test_pure_decomposition_validation(rng):
     dec = PureDecomposition((0.25, 0.75), (random_pure(2, seed=rng), psi))
     assert abs(sum(dec.weights) - 1.0) < 1e-12
     assert dec.average_state().shape == (2, 2)
+
+
+def test_pure_decomposition_reports_the_worst_member_norm(rng):
+    psi = random_pure(3, seed=rng)
+    PureDecomposition((0.5, 0.5), (psi, (1.0 + 1e-11) * psi))  # within 1e-10
+    with pytest.raises(NotIsometry, match=r"member norm deviation 1\.000e-06 > 1e-10"):
+        PureDecomposition((0.2, 0.3, 0.5), (psi, (1.0 + 1e-9) * psi, (1.0 - 1e-6) * psi))
 
 
 def test_decomposition_from_isometry(rng):
