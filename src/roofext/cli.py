@@ -81,7 +81,7 @@ def cmd_measure(args):
         rep = measures.map_concurrence(T, rho) if T is not None else measures.concurrence_2qubit(rho)
     elif q == "tangle":
         if T is not None:
-            rep = measures.channel_tangle(T, rho, _tangle_config(args))
+            rep = measures.channel_tangle(T, rho)
         else:
             base = measures.concurrence_2qubit(rho)
             rep = measures.MeasureReport(
@@ -106,7 +106,8 @@ def cmd_measure(args):
     else:  # entropy-out
         if T is None:
             raise ParseError("quantity entropy-out requires --map")
-        rep = measures.channel_entanglement(T, rho, _tangle_config(args))
+        cfg = solver.SolverConfig(restarts=args.restarts, seed=args.seed)
+        rep = measures.channel_entanglement(T, rho, cfg)
     if args.base == "2" and q in ENTROPIC_QUANTITIES:
         bounds = None
         if rep.bounds is not None:
@@ -114,10 +115,6 @@ def cmd_measure(args):
         rep = dataclasses.replace(rep, value=rep.value / LN2, bounds=bounds)
     print(serialize.dumps(serialize.report_to_json(rep)))
     return 0
-
-
-def _tangle_config(args):
-    return solver.SolverConfig(restarts=args.restarts, seed=args.seed)
 
 
 def cmd_solve(args):
@@ -290,8 +287,8 @@ def build_parser():
     )
     m.add_argument("--base", choices=["e", "2"], default="e",
                    help="logarithm base for entropic quantities")
-    m.add_argument("--restarts", type=int, default=16)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--restarts", type=int, default=16, help="solver restarts (entropy-out)")
+    m.add_argument("--seed", type=int, default=0, help="solver seed (entropy-out)")
     m.set_defaults(func=cmd_measure)
 
     s = sub.add_parser("solve", help="run the roof solver on an objective")

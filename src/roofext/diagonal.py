@@ -19,11 +19,9 @@ from .errors import ConfigError, DimMismatch, NotIsometry, OutOfRange
 from .solver import RoofObjective, SolverConfig, _multistart, _roof_closures
 from .states import (
     _TINY,
-    PureDecomposition,
-    bloch_to_qubit,
+    bloch_chord,
     eta,
     qubit_to_bloch,
-    spectral_decomposition,
     spectral_ensemble,
     spectrum,
     validate_density,
@@ -49,28 +47,17 @@ def ed_qubit(omega):
     return eta(p) + eta(1.0 - p)
 
 
-def _top_eigvec(rho):
-    _, vecs = spectral_decomposition(rho)
-    return vecs[:, 0]
-
-
 def ed_qubit_flat_pair(omega):
     """Flat optimal pair for the qubit diagonal channel.
 
-    Members sit at Bloch (x1, x2, +-s); both have the same diagonal entropy
-    (the diagonal is symmetric in the sign of x3), and the average equals
-    ed_qubit.  A pure input yields a single-term decomposition.
+    Members sit at Bloch (x1, x2, +-s), the chord along z; both have the same
+    diagonal entropy (the diagonal is symmetric in the sign of x3), and the
+    average equals ed_qubit.  A pure input yields a single-term decomposition.
     """
     sp = spectrum(omega, dim=2)
     if sp.rank == 1:
         return spectral_ensemble(sp)
-    x = qubit_to_bloch(sp.matrix)
-    s = float(np.sqrt(max(0.0, 1.0 - x[0] ** 2 - x[1] ** 2)))
-    # mixed state: |x| < 1 forces s > |x3|, so the weight is interior
-    p_hi = (1.0 + x[2] / s) / 2.0
-    psi_hi = _top_eigvec(bloch_to_qubit([x[0], x[1], s], ball_tol=1e-9))
-    psi_lo = _top_eigvec(bloch_to_qubit([x[0], x[1], -s], ball_tol=1e-9))
-    return PureDecomposition((float(p_hi), float(1.0 - p_hi)), (psi_hi, psi_lo))
+    return bloch_chord(qubit_to_bloch(sp.matrix), (0.0, 0.0, 1.0))
 
 
 def concave_leaf_membership(omega, rho, tol=1e-10):

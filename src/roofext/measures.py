@@ -2,7 +2,8 @@
 
 Conventions frozen here: the two-qubit concurrence uses the anti-linear
 operator (flip (x) flip)/2, giving C(Bell) = 1 and C(product) = 0; the map
-concurrence is C_T = 2 (sqrt det T)^roof; entropies are natural-log.
+concurrence C_T = 2 (sqrt det T)^roof and tangle (4 det T)^roof are closed
+forms for every qubit map; entropies are natural-log.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import numpy as np
 
 from .antilinear import lambda_spectrum, wootters_conjugation
 from .errors import OutOfRange, RoofextError
-from .qubitmaps import apply_map, axial_tangle, concurrence_sq, subtraction_weight
+from .qubitmaps import _subtracted_det, _tangle_axis, apply_map, concurrence_sq, subtraction_weight
 from .solver import minimize_roof, objective_for, verify_roof_point
 from .states import (
     PureDecomposition,
+    bloch_chord,
     eta,
+    qubit_to_bloch,
     spectral_ensemble,
     spectrum,
 )
@@ -102,20 +105,17 @@ def map_concurrence(T, omega, weight=None):
     )
 
 
-def channel_tangle(T, omega, config=None):
-    """tau_T(omega): closed form for axial maps, roof-solver for anything else."""
-    sp = spectrum(omega)
-    if T.kind == "axial":
-        a, b, g = T.params
-        return MeasureReport(
-            quantity="tangle", value=axial_tangle(a, b, g, sp.matrix), method="closed_form"
-        )
-    res = minimize_roof(objective_for(T, "det-out"), sp, config)
+def channel_tangle(T, omega):
+    """tau_T(omega) = 4 (det T(omega) - tangle_weight(T) det omega), for every qubit map.
+
+    The witness is the chord along the top eigenvector of L^T L (see qubitmaps):
+    the form is affine along every vector of that eigenspace, all of R^3 when L = 0.
+    """
+    sp = spectrum(omega, dim=2)
+    w, axis = _tangle_axis(T)
+    dec = spectral_ensemble(sp) if sp.rank == 1 else bloch_chord(qubit_to_bloch(sp.matrix), axis)
     return MeasureReport(
-        quantity="tangle",
-        value=4.0 * res.value,
-        method="solver",
-        decomposition=res.decomposition,
+        quantity="tangle", value=_subtracted_det(T, sp, w), method="closed_form", decomposition=dec
     )
 
 
@@ -131,7 +131,7 @@ def channel_entanglement(T, omega, config=None):
     sp = spectrum(omega, dim=2)
     omega = sp.matrix
     weight = subtraction_weight(T)
-    c_t = float(np.sqrt(concurrence_sq(T, omega, weight)))
+    c_t = float(np.sqrt(concurrence_sq(T, sp, weight)))
     lower = xi(c_t)
     objective = objective_for(T, "entropy-out")
     ensemble = spectral_ensemble(sp)
@@ -185,8 +185,8 @@ def bound_suite(T, omega, config=None, strict=True):
     """
     sp = spectrum(omega)
     weight = subtraction_weight(T)
-    c_sq = concurrence_sq(T, sp.matrix, weight)
-    tau = channel_tangle(T, sp, config).value
+    c_sq = concurrence_sq(T, sp, weight)
+    tau = channel_tangle(T, sp).value
     xi_c = xi(float(np.sqrt(c_sq)))
     ent = channel_entanglement(T, sp, config).value
     tangle_ok = bool(tau >= c_sq - 1e-9)

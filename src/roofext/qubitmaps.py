@@ -15,9 +15,14 @@ positive, which is how affine maps are certified; Kraus maps are completely
 positive by construction.  Optimal decompositions have length two: cut the
 Bloch ball along the null direction of the pencil at w_lo.
 
+The tangle of every map is the same form with w_tau = ||L||_2^2, L the 3x3
+Bloch block: convex, 4 det T on pure states and affine along the top
+eigenvector of L^T L, so the chord along it is optimal (the roof of a
+quadratic form; Osborne, PRA 72, 022309, 2005).  states.bloch_chord builds both chords.
+
 Axial maps (diagonal Bloch action with a shift along z) admit closed forms
 for both the concurrence weight and the tangle weight; these are checked
-against the pencil everywhere in the test suite.
+against the pencil and tangle_weight in the test suite.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
 )
 from .states import (
     PAULI_STACK,
-    PureDecomposition,
+    bloch_chord,
     spectral_ensemble,
     spectrum,
     validate_density,
@@ -59,10 +64,6 @@ def four_vector(X):
     """Pauli coordinates (Tr X, Tr sigma_1 X, Tr sigma_2 X, Tr sigma_3 X), real part."""
     X = np.asarray(X, dtype=complex)
     return np.real(np.einsum("kij,ji->k", PAULI_STACK, X))
-
-
-def _from_four_vector(y):
-    return np.einsum("k,kij->ij", np.asarray(y, dtype=complex), PAULI_STACK) / 2.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -86,7 +87,7 @@ def apply_map(T, X):
             out += E @ X @ E.conj().T
         return out
     x = np.einsum("kij,ji->k", PAULI_STACK, X)  # complex coordinates, stays linear
-    return _from_four_vector(T.bloch @ x)
+    return np.einsum("k,kij->ij", T.bloch @ x, PAULI_STACK) / 2.0
 
 
 def kraus_map(ops):
@@ -256,13 +257,30 @@ def subtraction_weight(T, psd_tol=1e-9):
     return SubtractionWeight(w_lo=w_lo, w_hi=w_hi, w=w_lo)
 
 
+def _subtracted_det(T, rho, w):
+    """4 (det T(rho) - w det rho), clamped at zero, for a qubit state or its Spectrum."""
+    rho = validate_density(rho, dim=2)
+    val = 4.0 * (np.linalg.det(apply_map(T, rho)).real - w * np.linalg.det(rho).real)
+    return float(max(0.0, val))
+
+
 def concurrence_sq(T, rho, weight=None):
     """C_T(rho)^2 = 4 (det T(rho) - w_lo det rho), clamped at zero."""
-    rho = validate_density(rho, dim=2)
     if weight is None:
         weight = subtraction_weight(T)
-    val = 4.0 * (np.linalg.det(apply_map(T, rho)).real - weight.w * np.linalg.det(rho).real)
-    return float(max(0.0, val))
+    return _subtracted_det(T, rho, weight.w)
+
+
+def _tangle_axis(T):
+    """Top eigenpair (w_tau, v) of L^T L, L the 3x3 Bloch block of the map."""
+    L = T.bloch[1:, 1:]
+    vals, vecs = np.linalg.eigh(L.T @ L)
+    return float(vals[-1]), vecs[:, -1]
+
+
+def tangle_weight(T):
+    """w_tau = ||L||_2^2 of tau_T = 4 (det T - w_tau det); -4 lambda_min of Q_T's spatial block."""
+    return _tangle_axis(T)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +307,12 @@ def axial_tangle_weight(alpha, beta, gamma):
 
 
 def axial_tangle(alpha, beta, gamma, rho):
-    """Tangle of an axial map: tau = 4 (det T(rho) - w det rho).
+    """Tangle of an axial map: tau = 4 (det T(rho) - w det rho), w = axial_tangle_weight.
 
-    The weight branch is picked by comparing |beta| with |alpha + gamma - 1|;
-    at equality the two branches coincide and tau is affine on the Bloch
-    ball.  Normalized so tau(pure) = 4 det T(pure) = C_T(pure)^2.
+    tau is affine on the Bloch ball at |beta| = |alpha + gamma - 1|; tau(pure) = C_T(pure)^2.
     """
-    a, b, g = _axial_params(alpha, beta, gamma)
-    rho = validate_density(rho, dim=2)
-    m = a + g - 1.0
-    w = b * b if abs(b) >= abs(m) else m * m
-    T = axial_map(a, b, g)
-    val = 4.0 * (np.linalg.det(apply_map(T, rho)).real - w * np.linalg.det(rho).real)
-    return float(max(0.0, val))
+    w = axial_tangle_weight(alpha, beta, gamma)
+    return _subtracted_det(axial_map(alpha, beta, gamma), rho, w)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +380,6 @@ def concurrence_general_two_kraus(theta, omega):
 # ---------------------------------------------------------------------------
 # Optimal length-two decompositions
 
-def _sphere_member(x3vec):
-    rho = (np.eye(2, dtype=complex) + x3vec[0] * PAULI_STACK[1] + x3vec[1] * PAULI_STACK[2] + x3vec[2] * PAULI_STACK[3]) / 2.0
-    vals, vecs = np.linalg.eigh(rho)
-    return vecs[:, -1]
-
-
 def length_two_decomposition(T, rho):
     """Optimal two-member decomposition for the map concurrence of a qubit state.
 
@@ -389,11 +394,8 @@ def length_two_decomposition(T, rho):
     sp = spectrum(rho, dim=2)
     if sp.rank == 1:
         return spectral_ensemble(sp)
-    rho = sp.matrix
-    sw = subtraction_weight(T)
     pencil = det_T_form(T)
-    M = pencil.matrix(sw.w)
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = np.linalg.eigh(pencil.matrix(subtraction_weight(T).w))
     scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
     null_dim = int(np.sum(vals <= 1e-8 * scale))
     nu = vecs[:, 0]
@@ -404,34 +406,17 @@ def length_two_decomposition(T, rho):
         )
         null = vecs[:, :null_dim]
         nu = null @ np.linalg.svd(null[:1])[2][-1]
-    x_rho = four_vector(rho)
-    if abs(nu[0]) > 1e-10:
-        delta = nu / nu[0] - x_rho
-    else:
-        delta = nu.copy()
-    d3 = delta[1:]
-    r3 = x_rho[1:]
+    x_rho = four_vector(sp.matrix)
+
+    def direction(nu):
+        return (nu / nu[0] - x_rho if abs(nu[0]) > 1e-10 else nu)[1:]
+
+    d3 = direction(nu)
     if np.linalg.norm(d3) < 1e-12:
         # null direction parallel to rho itself; fall back to the next eigenvector
         warnings.warn(
             "null direction is parallel to the state; falling back to the next eigenvector",
             DegeneratePencil,
         )
-        nu = vecs[:, 1]
-        delta = nu / nu[0] - x_rho if abs(nu[0]) > 1e-10 else nu.copy()
-        d3 = delta[1:]
-    a = float(d3 @ d3)
-    b = 2.0 * float(r3 @ d3)
-    c = float(r3 @ r3) - 1.0
-    disc = b * b - 4.0 * a * c
-    sq = float(np.sqrt(max(disc, 0.0)))
-    t_hi = (-b + sq) / (2.0 * a)
-    t_lo = (-b - sq) / (2.0 * a)
-    mu = -t_lo / (t_hi - t_lo)
-    psi_hi = _sphere_member(r3 + t_hi * d3)
-    psi_lo = _sphere_member(r3 + t_lo * d3)
-    if mu < 1e-12:
-        return PureDecomposition((1.0,), (psi_lo,))
-    if mu > 1.0 - 1e-12:
-        return PureDecomposition((1.0,), (psi_hi,))
-    return PureDecomposition((float(mu), float(1.0 - mu)), (psi_hi, psi_lo))
+        d3 = direction(vecs[:, 1])
+    return bloch_chord(x_rho[1:], d3)

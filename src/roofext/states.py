@@ -92,8 +92,11 @@ def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=E
     """Check that ``matrix`` is a density operator (of dimension ``dim``, if given).
 
     Returns it as complex128.  Raises NotHermitian / TraceNotOne / NotPSD
-    with the measured deviation, and DimMismatch after those checks.
+    with the measured deviation, and DimMismatch after those checks.  A
+    :class:`Spectrum` record is already validated: only its dimension is checked.
     """
+    if isinstance(matrix, Spectrum):
+        return spectrum(matrix, dim).matrix
     omega = _validated(matrix, False, herm_tol, trace_tol, eig_floor)[0]
     _check_dim(omega, dim)
     return omega
@@ -302,15 +305,41 @@ def qubit_to_bloch(omega):
     return np.array([np.trace(P @ omega).real for P in PAULIS[1:]])
 
 
-def bloch_to_qubit(x, ball_tol=1e-12):
-    """Inverse of :func:`qubit_to_bloch`; raises OutsideBall for |x| > 1."""
+def bloch_to_qubit(x):
+    """Inverse of :func:`qubit_to_bloch`; raises OutsideBall for |x| > 1 + 1e-12."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != 3:
         raise DimMismatch(f"Bloch vector needs 3 components, got {x.size}")
     r = float(np.linalg.norm(x))
-    if r > 1.0 + ball_tol:
+    if r > 1.0 + 1e-12:
         raise OutsideBall(f"|x| = {r:.12f} > 1")
     return (SIGMA_0 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
+
+
+def _sphere_state(y):
+    """Pure state of Bloch vector y: (1 + y3, y1 + i y2), or (y1 - i y2, 1 - y3) if y3 < 0."""
+    v = (1.0 + y[2], complex(y[0], y[1])) if y[2] >= 0.0 else (complex(y[0], -y[1]), 1.0 - y[2])
+    return np.array(v, dtype=complex) / math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+
+
+def bloch_chord(x, direction):
+    """Pure decomposition of the qubit state with Bloch vector x, |x| < 1, along a line.
+
+    The members are the points x + t d, t_hi > 0 > t_lo, where the line meets
+    the Bloch sphere, weighted -t_lo and t_hi over t_hi - t_lo so that they
+    average to x; a member of weight below WEIGHT_TOL is dropped.
+    """
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    # |x + t d|^2 = 1: the larger root without cancellation, the other from the product
+    a, b, c = float(d @ d), float(x @ d), float(x @ x) - 1.0
+    q = -b - math.copysign(math.sqrt(max(b * b - a * c, 0.0)), b)
+    t_hi, t_lo = sorted((q / a, c / q), reverse=True)
+    mu = -t_lo / (t_hi - t_lo)
+    hi, lo = _sphere_state(x + t_hi * d), _sphere_state(x + t_lo * d)
+    if min(mu, 1.0 - mu) < WEIGHT_TOL:
+        return PureDecomposition((1.0,), (hi if mu > 0.5 else lo,))
+    return PureDecomposition((mu, 1.0 - mu), (hi, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -549,13 +549,11 @@ def prop_identity_map_interval(rng, trials):
 def prop_tangle_solver(rng, trials):
     checks = []
     for t in range(trials):
-        T = _rand_axial(rng)
+        T = _rand_axial(rng) if t % 2 == 0 else _rand_kraus_channel(rng, n_ops=2 + t % 3)
         rho = states.random_density(2, rank=2, seed=rng)
-        a, b, g = T.params
-        closed = qubitmaps.axial_tangle(a, b, g, rho)
-        obj = solver.det_output_objective(bloch=T.bloch)
-        res = solver.minimize_roof(obj, rho, _light_config(rng, members=4))
-        num = 4.0 * res.value
+        closed = measures.channel_tangle(T, rho).value
+        obj = solver.objective_for(T, "det-out")
+        num = 4.0 * solver.minimize_roof(obj, rho, _light_config(rng, members=4)).value
         checks.append(
             (abs(closed - num) <= 5e-3, f"trial {t}: closed {_fmt(closed)} solver {_fmt(num)}")
         )

@@ -9,7 +9,13 @@ import pytest
 
 from roofext import bell_state, pure_projector, werner_state
 from roofext.cli import main
-from roofext.qubitmaps import dephased_amplitude_damping, diagonal_channel
+from roofext.qubitmaps import (
+    affine_map,
+    dephased_amplitude_damping,
+    depolarizing_map,
+    diagonal_channel,
+    kraus_map,
+)
 from roofext.serialize import dumps, map_to_json, state_to_json
 
 LOG2 = float(np.log(2.0))
@@ -76,6 +82,29 @@ def test_measure_bad_flag_exits_2(bell_file):
 
 def test_measure_dim_mismatch_exits_3(bell_file):
     assert main(["measure", "--state", bell_file, "--quantity", "ed"]) == 3
+
+
+def _general_maps():
+    g = np.random.default_rng(2)
+    Q, _ = np.linalg.qr(g.normal(size=(6, 2)) + 1j * g.normal(size=(6, 2)))
+    T = kraus_map([Q[0:2], Q[2:4], Q[4:6]])
+    return {"kraus": T, "affine": affine_map(depolarizing_map(0.5).bloch)}
+
+
+@pytest.mark.parametrize("kind", ["kraus", "affine"])
+def test_measure_tangle_dim_mismatch_exits_3(bell_file, tmp_path, kind):
+    p = tmp_path / "map.json"
+    p.write_text(dumps(map_to_json(_general_maps()[kind])))
+    assert main(["measure", "--state", bell_file, "--map", str(p), "--quantity", "tangle"]) == 3
+
+
+def test_measure_tangle_is_closed_form_for_kraus_maps(qubit_file, tmp_path, capsys):
+    p = tmp_path / "map.json"
+    p.write_text(dumps(map_to_json(_general_maps()["kraus"])))
+    assert main(["measure", "--state", qubit_file, "--map", str(p), "--quantity", "tangle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "closed_form"
+    assert len(out["decomposition"]["weights"]) == 2
 
 
 def test_measure_invariant_violation_exits_4(tmp_path, capsys):

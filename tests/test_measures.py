@@ -6,6 +6,7 @@ from roofext import (
     OutOfRange,
     RoofextError,
     SolverConfig,
+    affine_map,
     axial_beta_max,
     axial_map,
     axial_tangle,
@@ -15,12 +16,17 @@ from roofext import (
     channel_entanglement,
     channel_tangle,
     concurrence_2qubit,
+    concurrence_sq,
     dephased_amplitude_damping,
+    depolarizing_map,
     diagonal_channel,
     eof_2qubit,
     identity_map,
+    kraus_map,
     map_concurrence,
     maximally_mixed,
+    minimize_roof,
+    objective_for,
     product_pure,
     pure_projector,
     random_density,
@@ -158,3 +164,64 @@ def test_report_bounds_sandwich_random(rng):
         rep = channel_entanglement(T, omega, SolverConfig(members=4, restarts=4, max_iters=400, seed=9))
         assert rep.value >= rep.bounds[0] - 5e-3
         assert rep.value <= rep.bounds[1] + 1e-9
+
+
+def _random_kraus_map(g, n_ops):
+    G = g.normal(size=(2 * n_ops, 2)) + 1j * g.normal(size=(2 * n_ops, 2))
+    Q, _ = np.linalg.qr(G)
+    return kraus_map([Q[2 * i : 2 * i + 2] for i in range(n_ops)])
+
+
+def _random_maps(g, per_kind):
+    """Kraus maps with 1-4 operators, their Bloch matrices as affine maps, and
+    the same composed with the transpose (positive, not completely positive)."""
+    for _ in range(per_kind):
+        for n_ops in (1, 2, 3, 4):
+            T = _random_kraus_map(g, n_ops)
+            yield T
+            yield affine_map(T.bloch)
+            yield affine_map(T.bloch @ np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
+def test_channel_tangle_matches_the_solver():
+    g = np.random.default_rng(21)
+    maps = [_random_kraus_map(g, n_ops) for n_ops in (2, 3, 4) for _ in range(4)]
+    maps += [m for m in _random_maps(g, 1) if m.kind == "affine"][:4]
+    for T in maps:
+        omega = random_density(2, rank=2, seed=g)
+        rep = channel_tangle(T, omega)
+        assert rep.method == "closed_form" and len(rep.decomposition) == 2
+        cfg = SolverConfig(members=4, restarts=4, max_iters=500, tol=1e-9, stall_iters=30, seed=3)
+        referee = 4.0 * minimize_roof(objective_for(T, "det-out"), omega, cfg).value
+        assert referee - 5e-3 <= rep.value <= referee + 1e-9
+
+
+def test_channel_tangle_witness_attains_the_value():
+    g = np.random.default_rng(5)
+    for T in _random_maps(g, 20):
+        omega = random_density(2, seed=g)
+        rep = channel_tangle(T, omega)
+        dec = rep.decomposition
+        assert dec.reconstruction_error(omega) <= 1e-10
+        avg = sum(
+            p * 4.0 * np.linalg.det(apply_map(T, pure_projector(s))).real
+            for p, s in zip(dec.weights, dec.states)
+        )
+        assert abs(avg - rep.value) <= 1e-12
+        assert rep.value >= concurrence_sq(T, omega) - 1e-12
+
+
+def test_channel_tangle_identity_and_pure_inputs():
+    for seed in range(5):
+        rep = channel_tangle(identity_map(), random_density(2, seed=seed))
+        assert 0.0 <= rep.value <= 1e-15
+    psi = random_pure(2, seed=3)
+    T = _random_kraus_map(np.random.default_rng(3), 3)
+    rep = channel_tangle(T, pure_projector(psi))
+    assert len(rep.decomposition) == 1
+    assert rep.value == pytest.approx(4.0 * np.linalg.det(apply_map(T, pure_projector(psi))).real, abs=1e-15)
+
+
+def test_channel_tangle_dim_check():
+    with pytest.raises(DimMismatch):
+        channel_tangle(affine_map(depolarizing_map(0.5).bloch), maximally_mixed(4))

@@ -19,6 +19,7 @@ from roofext import (
     axial_map,
     axial_tangle,
     bloch_to_qubit,
+    channel_tangle,
     concurrence_general_two_kraus,
     concurrence_sq,
     dephased_amplitude_damping,
@@ -26,6 +27,7 @@ from roofext import (
     depolarizing_map,
     det_T_form,
     diagonal_channel,
+    ed_qubit_flat_pair,
     four_vector,
     identity_map,
     kraus_map,
@@ -35,10 +37,11 @@ from roofext import (
     random_density,
     random_pure,
     subtraction_weight,
+    tangle_weight,
     theta_from_kraus_pair,
     two_kraus_seminorm,
 )
-from roofext.qubitmaps import affine_map, axial_concurrence_weight
+from roofext.qubitmaps import affine_map, axial_concurrence_weight, axial_tangle_weight
 
 PAULI_VEC = arrays(np.float64, (4,), elements=st.floats(min_value=-2.0, max_value=2.0))
 
@@ -343,3 +346,43 @@ def test_dephasing_and_diagonal_channel():
     out = apply_map(dephasing_map(0.25), rho)
     assert abs(out[0, 1] - 0.25 * rho[0, 1]) < 1e-14
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-14)
+
+
+def test_tangle_weight_closed_forms():
+    grid = np.linspace(0.0, 1.0, 9)
+    for a in grid:
+        for gam in grid:
+            for f in np.linspace(-1.0, 1.0, 9):
+                b = f * axial_beta_max(a, gam)
+                assert abs(tangle_weight(axial_map(a, b, gam)) - axial_tangle_weight(a, b, gam)) <= 1e-15
+    g = np.random.default_rng(9)
+    for n_ops in (1, 2, 3, 4):
+        T = kraus_map(_random_kraus_ops(g, n_ops))
+        spatial = det_T_form(T).q_t[1:, 1:]
+        assert abs(tangle_weight(T) + 4.0 * np.linalg.eigvalsh(spatial)[0]) <= 1e-12
+
+
+def test_chord_eigensolve_budget(monkeypatch):
+    # members come from the chord in closed form: no eigensolve per member
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
+    g = np.random.default_rng(6)
+    rho = random_density(2, rank=2, seed=g)
+    calls.clear()
+    ed_qubit_flat_pair(rho)
+    assert len(calls) <= 1  # the state's own eigensolve
+    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps += [dephased_amplitude_damping(0.4), depolarizing_map(0.5)]
+    for T in maps:
+        calls.clear()
+        channel_tangle(T, rho)
+        assert len(calls) <= 2  # the state and L^T L
+        calls.clear()
+        subtraction_weight(T)
+        weight_calls = len(calls)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePencil)
+            length_two_decomposition(T, rho)
+        assert len(calls) <= weight_calls + 2  # the state and the pencil at w_lo

@@ -19,8 +19,12 @@ from roofext import (
     PureDecomposition,
     TraceNotOne,
     bell_state,
+    bloch_chord,
     bloch_to_qubit,
+    concurrence_sq,
     decomposition_from_isometry,
+    depolarizing_map,
+    ed_qubit,
     maximally_mixed,
     product_pure,
     pure_projector,
@@ -32,6 +36,7 @@ from roofext import (
     spectral_decomposition,
     spectrum,
     state_rank,
+    subtraction_weight,
     validate_density,
     werner_state,
 )
@@ -203,3 +208,63 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_validate_density_takes_a_spectrum_record(monkeypatch):
+    sp = spectrum(random_density(2, seed=1))
+    assert ed_qubit(sp) == ed_qubit(sp.matrix)
+    T = depolarizing_map(0.4)
+    assert concurrence_sq(T, sp, subtraction_weight(T)) == concurrence_sq(T, sp.matrix, subtraction_weight(T))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    assert validate_density(sp, dim=2) is sp.matrix
+    ed_qubit(sp)
+    assert calls == []  # a record is not validated again
+    with pytest.raises(DimMismatch):
+        validate_density(sp, dim=3)
+
+
+def _bloch_of(psi):
+    return qubit_to_bloch(pure_projector(psi))
+
+
+@st.composite
+def _chords(draw):
+    """(x, d): interior points, points within 1e-9 of the sphere, and chords through the south pole."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, d = (v / np.linalg.norm(v) for v in g.normal(size=(2, 3)))
+    kind = draw(st.sampled_from(["interior", "near-sphere", "south-pole"]))
+    if kind == "interior":
+        x = draw(st.floats(0.0, 0.999)) * u
+    elif kind == "near-sphere":
+        x = (1.0 - 10.0 ** draw(st.floats(-9.0, -3.0))) * u
+    else:
+        south = np.array([0.0, 0.0, -1.0])
+        x = south + draw(st.floats(1e-3, 1.0 - 1e-3)) * (u - south)
+        d = (u - south) / np.linalg.norm(u - south)
+    return x, d
+
+
+@given(_chords())
+def test_bloch_chord_members_lie_on_the_line_and_sphere(case):
+    x, d = case
+    dec = bloch_chord(x, d)
+    assert 1 <= len(dec) <= 2 and min(dec.weights) > 0.0
+    ys = [_bloch_of(psi) for psi in dec.states]
+    for psi, y in zip(dec.states, ys):
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        off = (y - x) - ((y - x) @ d) * d  # distance from the line
+        assert np.linalg.norm(off) <= 1e-12
+    avg = sum(p * y for p, y in zip(dec.weights, ys))
+    assert np.linalg.norm(avg - x) <= 1e-12
+
+
+def test_bloch_chord_through_both_poles():
+    dec = bloch_chord([0.0, 0.0, 0.2], [0.0, 0.0, 2.0])
+    np.testing.assert_allclose(dec.weights, [0.6, 0.4], atol=1e-15)
+    np.testing.assert_allclose(dec.states[0], [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(dec.states[1], [0.0, 1.0], atol=1e-15)
+    assert dec.reconstruction_error(bloch_to_qubit([0.0, 0.0, 0.2])) <= 1e-15
