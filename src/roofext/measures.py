@@ -119,7 +119,7 @@ def channel_tangle(T, omega):
     )
 
 
-def channel_entanglement(T, omega, config=None):
+def channel_entanglement(T, omega, config=None, weight=None):
     """E_T(omega) = convex roof of the output entropy, with the xi(C_T) lower bound.
 
     Pure inputs are evaluated exactly; mixed inputs go to the solver.  The
@@ -127,10 +127,12 @@ def channel_entanglement(T, omega, config=None):
     when the value sits on the lower bound (within 1e-3).  Value and upper
     bound are clamped at 0, and the bracket is widened to hold the value when
     it misses by at most BRACKET_TOL; a larger miss raises RoofextError.
+    ``weight`` is the map's SubtractionWeight; it is solved here when not given.
     """
     sp = spectrum(omega, dim=2)
     omega = sp.matrix
-    weight = subtraction_weight(T)
+    if weight is None:
+        weight = subtraction_weight(T)
     c_t = float(np.sqrt(concurrence_sq(T, sp, weight)))
     lower = xi(c_t)
     objective = objective_for(T, "entropy-out")
@@ -188,7 +190,7 @@ def bound_suite(T, omega, config=None, strict=True):
     c_sq = concurrence_sq(T, sp, weight)
     tau = channel_tangle(T, sp).value
     xi_c = xi(float(np.sqrt(c_sq)))
-    ent = channel_entanglement(T, sp, config).value
+    ent = channel_entanglement(T, sp, config, weight).value
     tangle_ok = bool(tau >= c_sq - 1e-9)
     entanglement_ok = bool(ent >= xi_c - 5e-3)
     if strict and not tangle_ok:

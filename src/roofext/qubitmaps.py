@@ -9,7 +9,8 @@ whose square root is (half) the map concurrence:
 
 where [w_lo, w_hi] is the set of w making Q_T - w Q_det positive
 semidefinite.  Q_det is invertible, so both endpoints are 0, 1 or real
-eigenvalues of Q_det^-1 Q_T: one small eigenproblem gives the interval
+eigenvalues of Q_det^-1 Q_T: one generalized-eigenvalue solve gives the
+candidates and one stacked eigvalsh tests them all, which gives the interval
 exactly.  By the S-lemma the interval is nonempty exactly when the map is
 positive, which is how affine maps are certified; Kraus maps are completely
 positive by construction.  Optimal decompositions have length two: cut the
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -55,6 +58,7 @@ from .states import (
 TP_TOL = 1e-10
 
 Q_DET = np.diag([0.25, -0.25, -0.25, -0.25])
+_Q_DET_INV = 1.0 / np.diag(Q_DET)  # Q_det is diagonal: Q_det^-1 Q_T scales rows
 # Rounding splits a double generalized eigenvalue by about sqrt(eps) ~ 1e-8;
 # roots closer than this are one cluster, imaginary parts below it are noise.
 _SPLIT_GAP = 1e-6
@@ -94,14 +98,13 @@ def kraus_map(ops):
     ops = tuple(np.asarray(E, dtype=complex) for E in ops)
     if not ops or any(E.shape != (2, 2) for E in ops):
         raise ShapeMismatch("kraus_map needs a nonempty list of 2x2 matrices")
-    tp = sum(E.conj().T @ E for E in ops)
-    dev = float(np.max(np.abs(tp - np.eye(2))))
+    E = np.array(ops)
+    Ed = E.conj().mT
+    dev = float(np.max(np.abs((Ed @ E).sum(axis=0) - np.eye(2))))
     if dev > TP_TOL:
         raise NotTracePreserving(f"sum E^dag E deviates from identity by {dev:.3e}")
-    bloch = np.empty((4, 4))
-    for nu in range(4):
-        out = sum(E @ PAULI_STACK[nu] @ E.conj().T for E in ops)
-        bloch[:, nu] = np.real(np.einsum("kij,ji->k", PAULI_STACK, out)) / 2.0
+    out = (E[:, None] @ PAULI_STACK @ Ed[:, None]).sum(axis=0)  # out[nu] = T(sigma_nu)
+    bloch = np.real(np.einsum("kij,nji->kn", PAULI_STACK, out)) / 2.0
     return QubitStochasticMap(kind="kraus", bloch=bloch, kraus=ops)
 
 
@@ -196,11 +199,17 @@ class QuadraticFormPencil:
         return self.q_t - w * self.q_det
 
 
-def det_T_form(T):
-    """Quadratic-form pencil of the map: exact on all of Hermitian 2x2 space."""
+def _det_form(T):
+    """Symmetric q_t with x^T q_t x = det T(X), and its scale max(1, max |q_t|)."""
     L = np.asarray(T.bloch, dtype=float)
     q_t = L.T @ Q_DET @ L
-    return QuadraticFormPencil(q_t=(q_t + q_t.T) / 2.0, q_det=Q_DET.copy())
+    q_t = (q_t + q_t.T) / 2.0
+    return q_t, max(1.0, float(np.max(np.abs(q_t))))
+
+
+def det_T_form(T):
+    """Quadratic-form pencil of the map: exact on all of Hermitian 2x2 space."""
+    return QuadraticFormPencil(q_t=_det_form(T)[0], q_det=Q_DET.copy())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,52 +224,62 @@ class SubtractionWeight:
 def subtraction_weight(T, psd_tol=1e-9):
     """Interval [w_lo, w_hi] of w in [0,1] with Q_T - w Q_det PSD, by one exact solve.
 
-    Both endpoints are 0, 1 or real generalized eigenvalues of the pencil
-    (eigenvalues of Q_det^-1 Q_T).  Each candidate is tested once with
-    eigvalsh, from the bottom up for w_lo and from the top down for w_hi.  A
-    touching point is a double root that rounding splits into a pair about
-    1e-8 apart, real or complex; such a cluster counts as its mean when the
-    pencil is singular there (minimum eigenvalue within 1e-12 * scale of 0).
-    Raises EmptyInterval when no candidate is PSD within psd_tol * scale,
-    which by the S-lemma means the map is not positive.
+    Both endpoints are 0, 1 or real generalized eigenvalues of the pencil,
+    the eigenvalues of Q_det^-1 Q_T (one eigvals; Q_det is diagonal, so the
+    product is a row scaling).  A touching point is a double root that
+    rounding splits into a pair about 1e-8 apart, real or complex; such a
+    cluster counts as its mean when the pencil is singular there (minimum
+    eigenvalue within 1e-12 * scale of 0), and as its roots in (0, 1)
+    otherwise.  One stacked eigvalsh gives the minimum eigenvalue at 0, 1,
+    every cluster mean and every root in (0, 1); w_lo is the lowest and w_hi
+    the highest candidate that is PSD within psd_tol * scale.  Raises
+    EmptyInterval when none is, which by the S-lemma means the map is not
+    positive.
     """
-    pencil = det_T_form(T)
-    scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
-    min_eig = {}
+    return _weight(*_det_form(T), psd_tol)
 
-    def lam(w):
-        if w not in min_eig:
-            min_eig[w] = float(np.linalg.eigvalsh(pencil.matrix(w))[0])
-        return min_eig[w]
 
-    roots = np.linalg.eigvals(np.linalg.solve(pencil.q_det, pencil.q_t))
-    roots = np.sort(roots[np.abs(roots.imag) <= _SPLIT_GAP].real)
+def _weight(q_t, scale, psd_tol=1e-9):
+    """subtraction_weight for the form q_t of _det_form."""
+    roots = np.linalg.eigvals(q_t * _Q_DET_INV[:, None]).tolist()
+    roots = sorted(r.real for r in roots if abs(r.imag) <= _SPLIT_GAP)
+    clusters = []
+    for r in roots:
+        if clusters and r - clusters[-1][-1] <= _SPLIT_GAP:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    # left-to-right sums, as numpy's mean of <= 4 values (sum() may compensate)
+    means = [min(1.0, max(0.0, reduce(add, c) / len(c))) if len(c) > 1 else None for c in clusters]
+    ws = [0.0, 1.0] + [m for m in means if m is not None] + [r for r in roots if 0.0 < r < 1.0]
+    mins = np.linalg.eigvalsh(q_t - np.array(ws)[:, None, None] * Q_DET)[:, 0]
+    lam = dict(zip(ws, mins.tolist()))
     cands = {0.0, 1.0}
-    for c in np.split(roots, np.flatnonzero(np.diff(roots) > _SPLIT_GAP) + 1):
-        mean = min(1.0, max(0.0, float(c.mean()))) if c.size > 1 else None
-        if mean is not None and abs(lam(mean)) <= 1e-12 * scale:
+    for c, mean in zip(clusters, means):
+        if mean is not None and abs(lam[mean]) <= 1e-12 * scale:
             cands.add(mean)
         else:
-            cands.update(float(w) for w in c if 0.0 < w < 1.0)
+            cands.update(w for w in c if 0.0 < w < 1.0)
     cands = sorted(cands)
-
-    def first_psd(ws):
-        return next((w for w in ws if lam(w) >= -psd_tol * scale), None)
-
-    w_lo = first_psd(cands)
-    if w_lo is None:
-        w_best = max(min_eig, key=min_eig.get)
+    psd = [w for w in cands if lam[w] >= -psd_tol * scale]
+    if not psd:
+        # every mean was tested, accepted or not; then the candidates bottom-up
+        tried = dict.fromkeys([m for m in means if m is not None] + cands)
+        w_best = max(tried, key=lam.get)
         raise EmptyInterval(
-            f"pencil is never PSD on [0,1]; best minimum eigenvalue {min_eig[w_best]:.3e} at w={w_best:.6f}"
+            f"pencil is never PSD on [0,1]; best minimum eigenvalue {lam[w_best]:.3e} at w={w_best:.6f}"
         )
-    w_hi = first_psd(reversed(cands))
-    return SubtractionWeight(w_lo=w_lo, w_hi=w_hi, w=w_lo)
+    return SubtractionWeight(w_lo=psd[0], w_hi=psd[-1], w=psd[0])
 
 
 def _subtracted_det(T, rho, w):
-    """4 (det T(rho) - w det rho), clamped at zero, for a qubit state or its Spectrum."""
-    rho = validate_density(rho, dim=2)
-    val = 4.0 * (np.linalg.det(apply_map(T, rho)).real - w * np.linalg.det(rho).real)
+    """4 (det T(rho) - w det rho), clamped at zero, for a qubit state or its Spectrum.
+
+    On Pauli four-vectors 4 det X = x0^2 - |x|^2, and T acts as y = L x.
+    """
+    x = four_vector(validate_density(rho, dim=2))
+    y = T.bloch @ x
+    val = (y[0] * y[0] - y[1:] @ y[1:]) - w * (x[0] * x[0] - x[1:] @ x[1:])
     return float(max(0.0, val))
 
 
@@ -394,9 +413,8 @@ def length_two_decomposition(T, rho):
     sp = spectrum(rho, dim=2)
     if sp.rank == 1:
         return spectral_ensemble(sp)
-    pencil = det_T_form(T)
-    vals, vecs = np.linalg.eigh(pencil.matrix(subtraction_weight(T).w))
-    scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
+    q_t, scale = _det_form(T)
+    vals, vecs = np.linalg.eigh(q_t - _weight(q_t, scale).w * Q_DET)
     null_dim = int(np.sum(vals <= 1e-8 * scale))
     nu = vecs[:, 0]
     if null_dim > 1:

@@ -155,6 +155,20 @@ def test_bound_suite_verdicts(rng):
     assert report2.tangle_ok and report2.entanglement_ok
 
 
+def test_bound_suite_solves_the_pencil_once(monkeypatch):
+    calls = []
+    solve = measures.subtraction_weight
+
+    def counted(T, *args, **kwargs):
+        calls.append(T)
+        return solve(T, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "subtraction_weight", counted)
+    T = dephased_amplitude_damping(0.5)
+    omega = bloch_to_qubit([0.5, 0.0, 0.0])
+    bound_suite(T, omega, SolverConfig(members=4, restarts=2, max_iters=200, seed=2), strict=False)
+    assert calls == [T]
+
 def test_report_bounds_sandwich_random(rng):
     for _ in range(5):
         a, g = rng.uniform(0.1, 0.9, size=2)

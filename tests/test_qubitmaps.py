@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from roofext import (
     DegeneratePencil,
+    EmptyInterval,
     NotPSD,
     NotStandardForm,
     NotTracePreserving,
     OutOfRange,
+    QubitStochasticMap,
     amplitude_damping,
     apply_map,
     axial_beta_max,
@@ -41,6 +43,7 @@ from roofext import (
     theta_from_kraus_pair,
     two_kraus_seminorm,
 )
+from roofext import qubitmaps
 from roofext.qubitmaps import affine_map, axial_concurrence_weight, axial_tangle_weight
 
 PAULI_VEC = arrays(np.float64, (4,), elements=st.floats(min_value=-2.0, max_value=2.0))
@@ -386,3 +389,136 @@ def test_chord_eigensolve_budget(monkeypatch):
             warnings.simplefilter("ignore", DegeneratePencil)
             length_two_decomposition(T, rho)
         assert len(calls) <= weight_calls + 2  # the state and the pencil at w_lo
+
+
+# ---------------------------------------------------------------------------
+# The pencil solve against a per-candidate reference
+
+
+def _reference_weight(T, psd_tol=1e-9):
+    """(w_lo, w_hi) by one eigvalsh per candidate, tested lazily from each end."""
+    pencil = det_T_form(T)
+    scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
+    min_eig = {}
+
+    def lam(w):
+        if w not in min_eig:
+            min_eig[w] = float(np.linalg.eigvalsh(pencil.matrix(w))[0])
+        return min_eig[w]
+
+    roots = np.linalg.eigvals(np.linalg.solve(pencil.q_det, pencil.q_t))
+    roots = np.sort(roots[np.abs(roots.imag) <= 1e-6].real)
+    cands = {0.0, 1.0}
+    for c in np.split(roots, np.flatnonzero(np.diff(roots) > 1e-6) + 1):
+        mean = min(1.0, max(0.0, float(c.mean()))) if c.size > 1 else None
+        if mean is not None and abs(lam(mean)) <= 1e-12 * scale:
+            cands.add(mean)
+        else:
+            cands.update(float(w) for w in c if 0.0 < w < 1.0)
+    cands = sorted(cands)
+
+    def first_psd(ws):
+        return next((w for w in ws if lam(w) >= -psd_tol * scale), None)
+
+    w_lo = first_psd(cands)
+    if w_lo is None:
+        w_best = max(min_eig, key=min_eig.get)
+        raise EmptyInterval(
+            f"pencil is never PSD on [0,1]; best minimum eigenvalue {min_eig[w_best]:.3e} at w={w_best:.6f}"
+        )
+    return w_lo, first_psd(reversed(cands))
+
+
+def _pencil_families():
+    for p in np.linspace(0.0, 1.0, 11):
+        yield from (amplitude_damping(p), dephased_amplitude_damping(p), depolarizing_map(p),
+                    depolarizing_map(-p / 3.0), dephasing_map(p))
+    yield from (identity_map(), diagonal_channel())
+    grid = np.linspace(0.0, 1.0, 9)
+    for a in grid:
+        for gam in grid:
+            bmax = axial_beta_max(a, gam)
+            yield from (axial_map(a, bmax, gam), axial_map(a, -bmax, gam), axial_map(a, 0.5 * bmax, gam))
+    g = np.random.default_rng(12)
+    for n_ops in (1, 2, 3, 4):
+        for _ in range(25):
+            yield kraus_map(_random_kraus_ops(g, n_ops))
+    yield affine_map(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
+def test_subtraction_weight_matches_reference():
+    for T in _pencil_families():
+        sw = subtraction_weight(T)
+        assert (sw.w_lo, sw.w_hi) == _reference_weight(T)
+
+
+def test_subtraction_weight_reference_on_random_affine():
+    g = np.random.default_rng(13)
+    empty = 0
+    for _ in range(120):
+        m = np.eye(4)
+        m[1:] = g.normal(size=(3, 4)) * g.uniform(0.1, 1.0)
+        T = QubitStochasticMap(kind="affine", bloch=m)
+        try:
+            expected = _reference_weight(T)
+        except EmptyInterval as exc:
+            empty += 1
+            with pytest.raises(EmptyInterval) as got:
+                subtraction_weight(T)
+            assert str(got.value) == str(exc)
+        else:
+            sw = subtraction_weight(T)
+            assert (sw.w_lo, sw.w_hi) == expected
+    assert 0 < empty < 120  # both branches are exercised
+
+
+def test_subtraction_weight_is_one_stacked_solve(monkeypatch):
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
+    g = np.random.default_rng(14)
+    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps += [identity_map(), dephased_amplitude_damping(0.4), depolarizing_map(0.5),
+             axial_map(0.3, axial_beta_max(0.3, 0.8), 0.8)]
+    for T in maps:
+        calls.clear()
+        subtraction_weight(T)
+        assert sorted(calls) == ["eigvals", "eigvalsh"]
+
+
+def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
+    forms = []
+    monkeypatch.setattr(qubitmaps, "_det_form", _counted(qubitmaps._det_form, forms))
+    g = np.random.default_rng(15)
+    rho = random_density(2, rank=2, seed=g)
+    for T in (kraus_map(_random_kraus_ops(g, 3)), axial_map(0.3, 0.4, 0.8)):
+        forms.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePencil)
+            length_two_decomposition(T, rho)
+        assert len(forms) == 1
+
+
+def test_kraus_map_bloch_matches_per_operator_sum():
+    g = np.random.default_rng(16)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    for n_ops in (1, 2, 3, 4):
+        for _ in range(10):
+            ops = _random_kraus_ops(g, n_ops)
+            expected = np.array([
+                [sum(np.trace(sk @ E @ sn @ E.conj().T) for E in ops).real / 2.0 for sn in paulis]
+                for sk in paulis
+            ])
+            assert np.max(np.abs(kraus_map(ops).bloch - expected)) <= 1e-15
+
+
+def test_subtracted_det_matches_determinants():
+    g = np.random.default_rng(17)
+    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps += [axial_map(0.3, 0.5, 0.8), depolarizing_map(0.6), identity_map()]
+    for T in maps:
+        for w in (0.0, subtraction_weight(T).w, tangle_weight(T), 1.0):
+            for _ in range(5):
+                for rho in (random_density(2, seed=g), pure_projector(random_pure(2, seed=g))):
+                    direct = 4.0 * (np.linalg.det(apply_map(T, rho)).real - w * np.linalg.det(rho).real)
+                    assert abs(qubitmaps._subtracted_det(T, rho, w) - max(0.0, direct)) <= 1e-14
