@@ -35,6 +35,7 @@ from .errors import (
 from .states import PureDecomposition, spectral_ensemble, spectrum
 
 ZERO_TOL = 1e-12
+SYMMETRY_TOL = 1e-8
 
 
 def spin_flip():
@@ -50,15 +51,15 @@ def wootters_conjugation():
     )
 
 
-def check_symmetric(A, tol=1e-8):
+def check_symmetric(A):
     """Validate the complex-symmetric representation of an anti-linear Hermitian op."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
     At = A.T
     dev = float(np.abs(A - At).max())
-    if dev > tol:
-        raise NotSymmetric(f"|A - A^T| = {dev:.3e} > {tol:.1e}")
+    if dev > SYMMETRY_TOL:
+        raise NotSymmetric(f"|A - A^T| = {dev:.3e} > {SYMMETRY_TOL:.1e}")
     return (A + At) / 2.0
 
 

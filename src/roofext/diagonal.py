@@ -60,13 +60,13 @@ def ed_qubit_flat_pair(omega):
     return bloch_chord(qubit_to_bloch(sp.matrix), (0.0, 0.0, 1.0))
 
 
-def concave_leaf_membership(omega, rho, tol=1e-10):
+def concave_leaf_membership(omega, rho):
     """True iff rho lies on the concave-roof leaf through omega: equal diagonals."""
     omega = validate_density(omega)
     rho = validate_density(rho)
     if omega.shape != rho.shape:
         raise DimMismatch(f"dims differ: {omega.shape[0]} vs {rho.shape[0]}")
-    return bool(np.max(np.abs(np.diag(omega) - np.diag(rho))) <= tol)
+    return bool(np.max(np.abs(np.diag(omega) - np.diag(rho))) <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

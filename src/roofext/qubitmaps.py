@@ -221,7 +221,7 @@ class SubtractionWeight:
     w: float
 
 
-def subtraction_weight(T, psd_tol=1e-9):
+def subtraction_weight(T):
     """Interval [w_lo, w_hi] of w in [0,1] with Q_T - w Q_det PSD, by one exact solve.
 
     Both endpoints are 0, 1 or real generalized eigenvalues of the pencil,
@@ -232,14 +232,14 @@ def subtraction_weight(T, psd_tol=1e-9):
     eigenvalue within 1e-12 * scale of 0), and as its roots in (0, 1)
     otherwise.  One stacked eigvalsh gives the minimum eigenvalue at 0, 1,
     every cluster mean and every root in (0, 1); w_lo is the lowest and w_hi
-    the highest candidate that is PSD within psd_tol * scale.  Raises
+    the highest candidate that is PSD within 1e-9 * scale.  Raises
     EmptyInterval when none is, which by the S-lemma means the map is not
     positive.
     """
-    return _weight(*_det_form(T), psd_tol)
+    return _weight(*_det_form(T))
 
 
-def _weight(q_t, scale, psd_tol=1e-9):
+def _weight(q_t, scale):
     """subtraction_weight for the form q_t of _det_form."""
     roots = np.linalg.eigvals(q_t * _Q_DET_INV[:, None]).tolist()
     roots = sorted(r.real for r in roots if abs(r.imag) <= _SPLIT_GAP)
@@ -261,7 +261,7 @@ def _weight(q_t, scale, psd_tol=1e-9):
         else:
             cands.update(w for w in c if 0.0 < w < 1.0)
     cands = sorted(cands)
-    psd = [w for w in cands if lam[w] >= -psd_tol * scale]
+    psd = [w for w in cands if lam[w] >= -1e-9 * scale]
     if not psd:
         # every mean was tested, accepted or not; then the candidates bottom-up
         tried = dict.fromkeys([m for m in means if m is not None] + cands)

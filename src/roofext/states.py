@@ -36,6 +36,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
 RANK_TOL = 1e-10
+NORM_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 
@@ -60,7 +61,7 @@ def eta(x):
     return x * -np.log(x + _TINY)
 
 
-def _validated(matrix, vectors, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR):
+def _validated(matrix, vectors):
     """The density checks around one eigh (vectors=True) or eigvalsh of (omega + omega^dag)/2.
 
     Returns omega as complex128, the ascending eigenvalues and the eigenvectors (or None).
@@ -70,16 +71,16 @@ def _validated(matrix, vectors, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floo
         raise DimMismatch(f"expected a square matrix, got shape {omega.shape}")
     adj = omega.conj().T
     herm_dev = float(np.abs(omega - adj).max())
-    if herm_dev > herm_tol:
-        raise NotHermitian(f"|omega - omega^dag| = {herm_dev:.3e} > {herm_tol:.1e}")
+    if herm_dev > HERM_TOL:
+        raise NotHermitian(f"|omega - omega^dag| = {herm_dev:.3e} > {HERM_TOL:.1e}")
     trace_dev = abs(complex(omega.trace()) - 1.0)
-    if trace_dev > trace_tol:
-        raise TraceNotOne(f"|Tr omega - 1| = {trace_dev:.3e} > {trace_tol:.1e}")
+    if trace_dev > TRACE_TOL:
+        raise TraceNotOne(f"|Tr omega - 1| = {trace_dev:.3e} > {TRACE_TOL:.1e}")
     herm = (omega + adj) / 2.0
     vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     min_eig = float(vals[0])
-    if min_eig < eig_floor:
-        raise NotPSD(f"min eigenvalue {min_eig:.3e} < {eig_floor:.1e}")
+    if min_eig < EIG_FLOOR:
+        raise NotPSD(f"min eigenvalue {min_eig:.3e} < {EIG_FLOOR:.1e}")
     return omega, vals, vecs
 
 
@@ -88,7 +89,7 @@ def _check_dim(omega, dim):
         raise DimMismatch(f"expected a state of dim {dim}, got dim {omega.shape[0]}")
 
 
-def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=EIG_FLOOR, dim=None):
+def validate_density(matrix, dim=None):
     """Check that ``matrix`` is a density operator (of dimension ``dim``, if given).
 
     Returns it as complex128.  Raises NotHermitian / TraceNotOne / NotPSD
@@ -97,7 +98,7 @@ def validate_density(matrix, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, eig_floor=E
     """
     if isinstance(matrix, Spectrum):
         return spectrum(matrix, dim).matrix
-    omega = _validated(matrix, False, herm_tol, trace_tol, eig_floor)[0]
+    omega = _validated(matrix, False)[0]
     _check_dim(omega, dim)
     return omega
 
@@ -141,14 +142,14 @@ def spectrum(omega, dim=None):
     return omega
 
 
-def validate_pure(vector, norm_tol=1e-12):
+def validate_pure(vector):
     """Check unit norm and return the state as a complex128 vector."""
     psi = np.asarray(vector, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(psi))
     if nrm < 1e-12:
         raise ZeroState("cannot normalize the zero vector")
-    if abs(nrm - 1.0) > norm_tol:
-        raise NotIsometry(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {norm_tol:.1e}")
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise NotIsometry(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {NORM_TOL:.1e}")
     return psi
 
 
@@ -164,9 +165,9 @@ def spectral_decomposition(omega):
     return vals[order], vecs[:, order]
 
 
-def state_rank(omega, tol=RANK_TOL):
+def state_rank(omega):
     vals = np.linalg.eigvalsh(np.asarray(omega, dtype=complex))
-    return int(np.sum(vals > tol))
+    return int(np.sum(vals > RANK_TOL))
 
 
 def spectral_ensemble(omega):

@@ -10,7 +10,6 @@ from roofext import (
     SolverConfig,
     det_output_objective,
     diag_entropy_objective,
-    kraus_map,
     maximize_roof,
     minimize_roof,
     output_entropy_objective,
@@ -26,15 +25,9 @@ from roofext.diagonal import ed_qubit, h0_min_entropy_experiment
 from roofext.measures import partial_trace_kraus
 from roofext.qubitmaps import axial_map
 from roofext.solver import _output_forms, _output_stats, _roof_closures, stiefel_retract
+from roofext.verify import _rand_kraus_channel, _rand_kraus_ops
 
 MAKERS = [sqrt_det_output_objective, det_output_objective, output_entropy_objective]
-
-
-def _random_kraus(rng, n_ops):
-    """n_ops 2 x 2 Kraus operators cut from a random 2 n_ops x 2 isometry."""
-    G = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
-    Q = np.linalg.qr(G)[0]
-    return tuple(Q[2 * k : 2 * k + 2] for k in range(n_ops))
 
 
 def _square_root(omega):
@@ -85,7 +78,7 @@ def test_diag_entropy_gradient(d):
 def test_output_objective_gradient(maker, source):
     rng = np.random.default_rng(300)
     if source == "kraus d_in=2":
-        objective, d = maker(kraus=_random_kraus(rng, 3)), 2
+        objective, d = maker(kraus=_rand_kraus_ops(rng, 3)), 2
     elif source == "kraus d_in=4":
         objective, d = maker(kraus=partial_trace_kraus()), 4
     else:
@@ -143,7 +136,7 @@ def _kraus_loop_stats(ops, Z):
 @pytest.mark.parametrize("ops", ["random", "partial-trace"])
 def test_output_forms_match_kraus_loop(ops):
     rng = np.random.default_rng(11)
-    kraus = _random_kraus(rng, 4) if ops == "random" else partial_trace_kraus()
+    kraus = _rand_kraus_ops(rng, 4) if ops == "random" else partial_trace_kraus()
     d = kraus[0].shape[1]
     Z = 3.0 * (rng.normal(size=(d, 50)) + 1j * rng.normal(size=(d, 50)))
     p, det = _output_stats(_output_forms(kraus=kraus), Z)
@@ -154,7 +147,7 @@ def test_output_forms_match_kraus_loop(ops):
 
 
 def test_output_forms_of_a_kraus_map_match_its_bloch_matrix():
-    T = kraus_map(_random_kraus(np.random.default_rng(12), 3))
+    T = _rand_kraus_channel(np.random.default_rng(12), 3)
     S_kraus, S_bloch = _output_forms(kraus=T.kraus), _output_forms(bloch=T.bloch)
     np.testing.assert_allclose(S_kraus, S_bloch, atol=1e-14)
 

@@ -22,7 +22,6 @@ from roofext import (
     diagonal_channel,
     eof_2qubit,
     identity_map,
-    kraus_map,
     map_concurrence,
     maximally_mixed,
     minimize_roof,
@@ -39,6 +38,7 @@ from roofext import (
 from roofext import measures
 from roofext.diagonal import ed_qubit
 from roofext.qubitmaps import apply_map
+from roofext.verify import _rand_kraus_channel
 
 LOG2 = float(np.log(2.0))
 
@@ -180,18 +180,12 @@ def test_report_bounds_sandwich_random(rng):
         assert rep.value <= rep.bounds[1] + 1e-9
 
 
-def _random_kraus_map(g, n_ops):
-    G = g.normal(size=(2 * n_ops, 2)) + 1j * g.normal(size=(2 * n_ops, 2))
-    Q, _ = np.linalg.qr(G)
-    return kraus_map([Q[2 * i : 2 * i + 2] for i in range(n_ops)])
-
-
 def _random_maps(g, per_kind):
     """Kraus maps with 1-4 operators, their Bloch matrices as affine maps, and
     the same composed with the transpose (positive, not completely positive)."""
     for _ in range(per_kind):
         for n_ops in (1, 2, 3, 4):
-            T = _random_kraus_map(g, n_ops)
+            T = _rand_kraus_channel(g, n_ops)
             yield T
             yield affine_map(T.bloch)
             yield affine_map(T.bloch @ np.diag([1.0, 1.0, -1.0, 1.0]))
@@ -199,7 +193,7 @@ def _random_maps(g, per_kind):
 
 def test_channel_tangle_matches_the_solver():
     g = np.random.default_rng(21)
-    maps = [_random_kraus_map(g, n_ops) for n_ops in (2, 3, 4) for _ in range(4)]
+    maps = [_rand_kraus_channel(g, n_ops) for n_ops in (2, 3, 4) for _ in range(4)]
     maps += [m for m in _random_maps(g, 1) if m.kind == "affine"][:4]
     for T in maps:
         omega = random_density(2, rank=2, seed=g)
@@ -230,7 +224,7 @@ def test_channel_tangle_identity_and_pure_inputs():
         rep = channel_tangle(identity_map(), random_density(2, seed=seed))
         assert 0.0 <= rep.value <= 1e-15
     psi = random_pure(2, seed=3)
-    T = _random_kraus_map(np.random.default_rng(3), 3)
+    T = _rand_kraus_channel(np.random.default_rng(3), 3)
     rep = channel_tangle(T, pure_projector(psi))
     assert len(rep.decomposition) == 1
     assert rep.value == pytest.approx(4.0 * np.linalg.det(apply_map(T, pure_projector(psi))).real, abs=1e-15)

@@ -45,22 +45,16 @@ from roofext import (
 )
 from roofext import qubitmaps
 from roofext.qubitmaps import affine_map, axial_concurrence_weight, axial_tangle_weight
+from roofext.verify import _hermitian_from_vec, _rand_kraus_channel, _rand_kraus_ops
 
 PAULI_VEC = arrays(np.float64, (4,), elements=st.floats(min_value=-2.0, max_value=2.0))
 
 HH3 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 
 
-def _hermitian(x):
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    return (x[0] * np.eye(2) + x[1] * sx + x[2] * sy + x[3] * sz) / 2.0
-
-
 @given(x=PAULI_VEC)
 def test_four_vector_round_trip(x):
-    X = _hermitian(x)
+    X = _hermitian_from_vec(x)
     np.testing.assert_allclose(four_vector(X), x, atol=1e-12)
 
 
@@ -105,12 +99,6 @@ def test_affine_map_exact_positivity():
         affine_map(np.diag([1.0, 1.3, 1.3, 1.3]))
 
 
-def _random_kraus_ops(rng, n_ops):
-    G = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
-    Q, _ = np.linalg.qr(G)
-    return [Q[2 * i : 2 * i + 2] for i in range(n_ops)]
-
-
 def _min_eig(T, w):
     return np.linalg.eigvalsh(det_T_form(T).matrix(w))[0]
 
@@ -118,7 +106,7 @@ def _min_eig(T, w):
 def test_exact_weight_three_kraus_endpoints():
     g = np.random.default_rng(3)
     for _ in range(50):
-        T = kraus_map(_random_kraus_ops(g, 3))
+        T = _rand_kraus_channel(g, 3)
         sw = subtraction_weight(T)
         assert 0.0 < sw.w_lo < sw.w_hi < 1.0
         assert _min_eig(T, sw.w_lo) >= -1e-12 and _min_eig(T, sw.w_hi) >= -1e-12
@@ -128,7 +116,7 @@ def test_exact_weight_three_kraus_endpoints():
 def test_exact_weight_two_kraus_matches_spectrum_route():
     g = np.random.default_rng(4)
     for _ in range(50):
-        A, B = _random_kraus_ops(g, 2)
+        A, B = _rand_kraus_ops(g, 2)
         T = kraus_map([A, B])
         rho = random_density(2, seed=g)
         via_theta = concurrence_general_two_kraus(theta_from_kraus_pair(A, B), rho)
@@ -159,7 +147,7 @@ def test_exact_weight_eigensolve_budget(monkeypatch):
         monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
     g = np.random.default_rng(5)
     for n_ops in (1, 2, 3, 4):
-        ops = _random_kraus_ops(g, n_ops)
+        ops = _rand_kraus_ops(g, n_ops)
         calls.clear()
         T = kraus_map(ops)
         assert calls == []
@@ -179,7 +167,7 @@ def test_det_form_identity(seed):
     T = axial_map(a, b, gam)
     pencil = det_T_form(T)
     x = g.normal(size=4)
-    X = _hermitian(x)
+    X = _hermitian_from_vec(x)
     assert abs(x @ pencil.q_t @ x - np.linalg.det(apply_map(T, X)).real) < 1e-12
     assert abs(x @ pencil.q_det @ x - np.linalg.det(X).real) < 1e-12
 
@@ -284,7 +272,7 @@ def test_two_kraus_seminorm_rejects_nonstandard():
 @given(x=PAULI_VEC, y=PAULI_VEC)
 def test_two_kraus_seminorm_is_a_seminorm(x, y):
     A, B = _standard_pair()
-    X, Y = _hermitian(x), _hermitian(y)
+    X, Y = _hermitian_from_vec(x), _hermitian_from_vec(y)
     sX = two_kraus_seminorm(A, B, X)
     assert abs(two_kraus_seminorm(A, B, 2.0 * X) - 2.0 * sX) < 1e-10
     assert two_kraus_seminorm(A, B, X + Y) <= sX + two_kraus_seminorm(A, B, Y) + 1e-10
@@ -322,7 +310,7 @@ def test_length_two_decomposition_two_kraus_is_optimal():
     # is the optimal cut, the other null directions overshoot the roof
     g = np.random.default_rng(7)
     for _ in range(60):
-        T = kraus_map(_random_kraus_ops(g, 2))
+        T = _rand_kraus_channel(g, 2)
         rho = random_density(2, seed=g)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePencil)
@@ -360,7 +348,7 @@ def test_tangle_weight_closed_forms():
                 assert abs(tangle_weight(axial_map(a, b, gam)) - axial_tangle_weight(a, b, gam)) <= 1e-15
     g = np.random.default_rng(9)
     for n_ops in (1, 2, 3, 4):
-        T = kraus_map(_random_kraus_ops(g, n_ops))
+        T = _rand_kraus_channel(g, n_ops)
         spatial = det_T_form(T).q_t[1:, 1:]
         assert abs(tangle_weight(T) + 4.0 * np.linalg.eigvalsh(spatial)[0]) <= 1e-12
 
@@ -375,7 +363,7 @@ def test_chord_eigensolve_budget(monkeypatch):
     calls.clear()
     ed_qubit_flat_pair(rho)
     assert len(calls) <= 1  # the state's own eigensolve
-    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps = [_rand_kraus_channel(g, n_ops) for n_ops in (1, 2, 3, 4)]
     maps += [dephased_amplitude_damping(0.4), depolarizing_map(0.5)]
     for T in maps:
         calls.clear()
@@ -442,7 +430,7 @@ def _pencil_families():
     g = np.random.default_rng(12)
     for n_ops in (1, 2, 3, 4):
         for _ in range(25):
-            yield kraus_map(_random_kraus_ops(g, n_ops))
+            yield _rand_kraus_channel(g, n_ops)
     yield affine_map(np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
@@ -477,7 +465,7 @@ def test_subtraction_weight_is_one_stacked_solve(monkeypatch):
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
     g = np.random.default_rng(14)
-    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps = [_rand_kraus_channel(g, n_ops) for n_ops in (1, 2, 3, 4)]
     maps += [identity_map(), dephased_amplitude_damping(0.4), depolarizing_map(0.5),
              axial_map(0.3, axial_beta_max(0.3, 0.8), 0.8)]
     for T in maps:
@@ -491,7 +479,7 @@ def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
     monkeypatch.setattr(qubitmaps, "_det_form", _counted(qubitmaps._det_form, forms))
     g = np.random.default_rng(15)
     rho = random_density(2, rank=2, seed=g)
-    for T in (kraus_map(_random_kraus_ops(g, 3)), axial_map(0.3, 0.4, 0.8)):
+    for T in (_rand_kraus_channel(g, 3), axial_map(0.3, 0.4, 0.8)):
         forms.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePencil)
@@ -504,7 +492,7 @@ def test_kraus_map_bloch_matches_per_operator_sum():
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     for n_ops in (1, 2, 3, 4):
         for _ in range(10):
-            ops = _random_kraus_ops(g, n_ops)
+            ops = _rand_kraus_ops(g, n_ops)
             expected = np.array([
                 [sum(np.trace(sk @ E @ sn @ E.conj().T) for E in ops).real / 2.0 for sn in paulis]
                 for sk in paulis
@@ -514,7 +502,7 @@ def test_kraus_map_bloch_matches_per_operator_sum():
 
 def test_subtracted_det_matches_determinants():
     g = np.random.default_rng(17)
-    maps = [kraus_map(_random_kraus_ops(g, n_ops)) for n_ops in (1, 2, 3, 4)]
+    maps = [_rand_kraus_channel(g, n_ops) for n_ops in (1, 2, 3, 4)]
     maps += [axial_map(0.3, 0.5, 0.8), depolarizing_map(0.6), identity_map()]
     for T in maps:
         for w in (0.0, subtraction_weight(T).w, tangle_weight(T), 1.0):

@@ -1,6 +1,9 @@
 import io
+from pathlib import Path
 
-from roofext import verify
+import pytest
+
+from roofext import DegeneratePencil, verify
 
 
 def _run(suites, trials=2, seed=0):
@@ -44,3 +47,31 @@ def test_seed_selection_is_suite_independent():
     alone_lines = [l for l in alone.splitlines() if l.startswith("[wootters]")]
     full_lines = [l for l in full.splitlines() if l.startswith("[wootters]")]
     assert alone_lines == full_lines
+
+
+def test_runner_tallies_checks_and_prints_notes_in_yield_order(monkeypatch):
+    def prop(rng, trials):
+        yield "always printed"
+        yield True, "never printed"
+        yield False, "printed on failure"
+        yield False, ""
+
+    monkeypatch.setattr(verify, "SUITES", {"wootters": (("probe", prop, False),)})
+    code, out = _run(["wootters"], trials=1)
+    assert code == 1
+    assert out.splitlines() == [
+        "[wootters] probe: FAIL 1/3",
+        "  always printed",
+        "  printed on failure",
+        "total: 3 checks, 2 failures",
+    ]
+
+
+def test_all_suites_match_the_pinned_output():
+    # `roofext verify --suite all --trials 3 --seed 0`; a deliberate change to
+    # verify's output (a new property, a new note) regenerates this file
+    pinned = (Path(__file__).parent / "data" / "verify_all_t3_s0.txt").read_text()
+    with pytest.warns(DegeneratePencil):  # one seeded length-two case is degenerate
+        code, out = _run(list(verify.SUITE_ORDER), trials=3, seed=0)
+    assert code == 0
+    assert out == pinned
