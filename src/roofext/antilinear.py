@@ -100,14 +100,14 @@ def theta_from_kraus_pair(a1, a2):
     return (M + M.T) / 2.0
 
 
-def _eigenbasis_form(theta, omega):
+def _eigenbasis_form(A, omega):
     """The Spectrum of omega and B = K^dag A conj(K), K = V diag(sqrt q) its factor.
 
-    With omega = V diag(q) V^dag, sqrt(omega) A sqrt(omega)^T = V B V^T: B is
+    A is the checked symmetric matrix of check_symmetric.  With
+    omega = V diag(q) V^dag, sqrt(omega) A sqrt(omega)^T = V B V^T: B is
     that matrix in omega's eigenbasis, with the same singular values, and a
     Takagi vector u of B is the Takagi vector V u of it.
     """
-    A = check_symmetric(theta)
     sp = spectrum(omega)
     if A.shape[0] != sp.dim:
         raise DimMismatch(f"operator dim {A.shape[0]} != state dim {sp.dim}")
@@ -117,7 +117,7 @@ def _eigenbasis_form(theta, omega):
 
 def lambda_spectrum(theta, omega):
     """Descending singular values of B = sqrt(omega) A sqrt(omega)^T."""
-    return np.linalg.svd(_eigenbasis_form(theta, omega)[1], compute_uv=False)
+    return np.linalg.svd(_eigenbasis_form(check_symmetric(theta), omega)[1], compute_uv=False)
 
 
 def roof_values(theta, omega):
@@ -233,7 +233,7 @@ def flat_optimal_decomposition(theta, omega, mode="convex"):
     """
     if mode not in ("convex", "concave"):
         raise ConfigError(f"mode must be 'convex' or 'concave', got {mode!r}")
-    sp, B = _eigenbasis_form(theta, omega)
+    sp, B = _eigenbasis_form(check_symmetric(theta), omega)
     if sp.rank == 1:
         return spectral_ensemble(sp)
 

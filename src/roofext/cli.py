@@ -36,13 +36,20 @@ def _load_theta(path):
     return antilinear.check_symmetric(serialize.json_to_complex_array(data["matrix"]))
 
 
-def _default_theta(dim):
-    if dim != 4:
+def _theta_for(args, dim):
+    """The --theta matrix, or the two-qubit default, checked against the state's dim."""
+    if args.theta:
+        theta = _load_theta(args.theta)
+    elif dim == 4:
+        theta = antilinear.wootters_conjugation() / 2.0
+    else:
         raise ParseError(
             "--theta is required unless the state is two-qubit "
             "(where the spin-flip conjugation over 2 is the default)"
         )
-    return antilinear.wootters_conjugation() / 2.0
+    if theta.shape[0] != dim:
+        raise DimMismatch(f"conjugation is {theta.shape[0]}-dimensional, state is {dim}")
+    return theta
 
 
 def _open_out(path):
@@ -121,12 +128,7 @@ def cmd_solve(args):
     rho = _load_state(args.state)
     name = args.objective
     if name == "theta-form":
-        theta = _load_theta(args.theta) if args.theta else _default_theta(rho.shape[0])
-        if theta.shape[0] != rho.shape[0]:
-            raise DimMismatch(
-                f"conjugation is {theta.shape[0]}-dimensional, state is {rho.shape[0]}"
-            )
-        obj = solver.theta_form_objective(theta)
+        obj = solver.theta_form_objective(_theta_for(args, rho.shape[0]))
     elif name == "diag-entropy":
         obj = solver.diag_entropy_objective()
     else:
@@ -160,13 +162,8 @@ def cmd_decompose(args):
     rho = _load_state(args.state)
     method = args.method
     if method in ("flat-convex", "flat-concave"):
-        theta = _load_theta(args.theta) if args.theta else _default_theta(rho.shape[0])
-        if theta.shape[0] != rho.shape[0]:
-            raise DimMismatch(
-                f"conjugation is {theta.shape[0]}-dimensional, state is {rho.shape[0]}"
-            )
         dec = antilinear.flat_optimal_decomposition(
-            theta, rho, mode=method.removeprefix("flat-")
+            _theta_for(args, rho.shape[0]), rho, mode=method.removeprefix("flat-")
         )
     elif method == "length-two":
         if not args.map:
@@ -231,7 +228,7 @@ def cmd_sweep_isotropic(args):
             iso = diagonal.isotropic_state(d, float(F))
             seed = int(np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(1)[0])
             cfg = solver.SolverConfig(
-                members=args.members or 2 * d,
+                members=2 * d if args.members is None else args.members,
                 restarts=args.restarts,
                 max_iters=args.max_iters,
                 seed=seed,

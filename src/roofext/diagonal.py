@@ -169,11 +169,7 @@ def qubit_split_embedding():
 
 def embed_qubit_pair(omega):
     """Two-qubit image of a qubit state under |j> -> |jj>; its EoF is ed_qubit(omega)."""
-    omega = validate_density(omega, dim=2)
-    V = np.zeros((4, 2), dtype=complex)
-    V[0, 0] = 1.0
-    V[3, 1] = 1.0
-    return V @ omega @ V.conj().T
+    return embed_state(EmbeddingSpec((2, 2), ([1.0, 0.0], [0.0, 1.0])), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,8 @@ class BoundReport:
 def bound_suite(T, omega, config=None, strict=True):
     """Check tau >= C^2 and E >= xi(C) for one map and state.
 
-    With strict=True a violated inequality raises (the CLI maps that to the
-    invariant-violation exit code); otherwise the verdicts are just reported.
+    With strict=True a violated inequality raises; otherwise the verdicts
+    are just reported.
     """
     sp = spectrum(omega)
     weight = subtraction_weight(T)

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .antilinear import check_symmetric, lambda_spectrum
+from .antilinear import _eigenbasis_form, check_symmetric
 from .errors import (
     DegeneratePencil,
     EmptyInterval,
@@ -50,6 +50,7 @@ from .errors import (
 from .states import (
     PAULI_STACK,
     bloch_chord,
+    four_vector,
     spectral_ensemble,
     spectrum,
     validate_density,
@@ -62,12 +63,6 @@ _Q_DET_INV = 1.0 / np.diag(Q_DET)  # Q_det is diagonal: Q_det^-1 Q_T scales rows
 # Rounding splits a double generalized eigenvalue by about sqrt(eps) ~ 1e-8;
 # roots closer than this are one cluster, imaginary parts below it are noise.
 _SPLIT_GAP = 1e-6
-
-
-def four_vector(X):
-    """Pauli coordinates (Tr X, Tr sigma_1 X, Tr sigma_2 X, Tr sigma_3 X), real part."""
-    X = np.asarray(X, dtype=complex)
-    return np.real(np.einsum("kij,ji->k", PAULI_STACK, X))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -108,14 +103,24 @@ def kraus_map(ops):
     return QubitStochasticMap(kind="kraus", bloch=bloch, kraus=ops)
 
 
+def _axial_params(alpha, gamma):
+    """alpha and gamma as floats; raises OutOfRange unless both lie in [0, 1]."""
+    a, g = float(alpha), float(gamma)
+    if not (0.0 <= a <= 1.0 and 0.0 <= g <= 1.0):
+        raise OutOfRange(f"axial alpha, gamma must lie in [0,1], got {a}, {g}")
+    return a, g
+
+
 def axial_beta_max(alpha, gamma):
     """Largest |beta| keeping the axial map positive."""
-    return float(np.sqrt(alpha * gamma) + np.sqrt((1.0 - alpha) * (1.0 - gamma)))
+    a, g = _axial_params(alpha, gamma)
+    return float(np.sqrt(a * g) + np.sqrt((1.0 - a) * (1.0 - g)))
 
 
 def axial_critical_beta_sq(alpha, gamma):
     """beta^2 value at which the concurrence weight switches branches."""
-    return float((np.sqrt(alpha * gamma) - np.sqrt((1.0 - alpha) * (1.0 - gamma))) ** 2)
+    a, g = _axial_params(alpha, gamma)
+    return float((np.sqrt(a * g) - np.sqrt((1.0 - a) * (1.0 - g))) ** 2)
 
 
 def axial_map(alpha, beta, gamma):
@@ -124,8 +129,6 @@ def axial_map(alpha, beta, gamma):
     Bloch action: (x1, x2) * beta, x3 -> (alpha - gamma) + (alpha + gamma - 1) x3.
     """
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= gamma <= 1.0):
-        raise OutOfRange(f"axial alpha, gamma must lie in [0,1], got {alpha}, {gamma}")
     bmax = axial_beta_max(alpha, gamma)
     if beta * beta > bmax * bmax + 1e-12:
         raise OutOfRange(f"|beta|={abs(beta):.6f} exceeds the positivity bound {bmax:.6f}")
@@ -188,17 +191,6 @@ def depolarizing_map(q):
 # ---------------------------------------------------------------------------
 # Determinant pencil and the subtraction weight
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class QuadraticFormPencil:
-    """Pair of real symmetric 4x4 forms: x^T q_t x = det T(X), x^T q_det x = det X."""
-
-    q_t: np.ndarray
-    q_det: np.ndarray
-
-    def matrix(self, w):
-        return self.q_t - w * self.q_det
-
-
 def _det_form(T):
     """Symmetric q_t with x^T q_t x = det T(X), and its scale max(1, max |q_t|)."""
     L = np.asarray(T.bloch, dtype=float)
@@ -208,8 +200,12 @@ def _det_form(T):
 
 
 def det_T_form(T):
-    """Quadratic-form pencil of the map: exact on all of Hermitian 2x2 space."""
-    return QuadraticFormPencil(q_t=_det_form(T)[0], q_det=Q_DET.copy())
+    """The determinant pencil as the pair (q_t, q_det) of real symmetric 4x4 forms.
+
+    x^T q_t x = det T(X) and x^T q_det x = det X on all of Hermitian 2x2
+    space; the form at w is q_t - w * q_det.
+    """
+    return _det_form(T)[0], Q_DET.copy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,23 +301,16 @@ def tangle_weight(T):
 # ---------------------------------------------------------------------------
 # Closed forms for axial maps
 
-def _axial_params(alpha, beta, gamma):
-    a, b, g = float(alpha), float(beta), float(gamma)
-    if not (0.0 <= a <= 1.0 and 0.0 <= g <= 1.0):
-        raise OutOfRange(f"axial alpha, gamma must lie in [0,1], got {a}, {g}")
-    return a, b, g
-
-
 def axial_concurrence_weight(alpha, beta, gamma):
     """Closed-form subtraction weight: max(beta^2, critical beta^2)."""
-    a, b, g = _axial_params(alpha, beta, gamma)
-    return float(max(b * b, axial_critical_beta_sq(a, g)))
+    b = float(beta)
+    return float(max(b * b, axial_critical_beta_sq(alpha, gamma)))
 
 
 def axial_tangle_weight(alpha, beta, gamma):
     """Closed-form tangle weight: max(beta^2, (alpha + gamma - 1)^2)."""
-    a, b, g = _axial_params(alpha, beta, gamma)
-    m = a + g - 1.0
+    a, g = _axial_params(alpha, gamma)
+    b, m = float(beta), a + g - 1.0
     return float(max(b * b, m * m))
 
 
@@ -382,10 +371,9 @@ def concurrence_general_two_kraus(theta, omega):
     """
     sp = spectrum(omega, dim=2)
     A = check_symmetric(theta)
-    lam = lambda_spectrum(A, sp)
+    Bm = _eigenbasis_form(A, sp)[1]
+    lam = np.linalg.svd(Bm, compute_uv=False)
     diff = float(lam[0] - lam[1])
-    Kc = sp.factor.conj()
-    Bm = Kc.T @ A @ Kc  # sqrt(omega) A sqrt(omega)^T in omega's eigenbasis
     alt = float(np.trace(Bm @ Bm.conj()).real) - 2.0 * float(
         np.linalg.det(sp.matrix).real
     ) * abs(np.linalg.det(A))

@@ -44,8 +44,7 @@ SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
-PAULI_STACK = np.stack(PAULIS)  # (4, 2, 2)
+PAULI_STACK = np.stack((SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z))  # (4, 2, 2)
 
 
 def eta(x):
@@ -158,31 +157,12 @@ def pure_projector(psi):
     return np.outer(psi, psi.conj())
 
 
-def spectral_decomposition(omega):
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(np.asarray(omega, dtype=complex))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
-def state_rank(omega):
-    vals = np.linalg.eigvalsh(np.asarray(omega, dtype=complex))
-    return int(np.sum(vals > RANK_TOL))
-
-
 def spectral_ensemble(omega):
     """Eigenvectors of eigenvalue > RANK_TOL, weighted by their renormalized eigenvalues."""
     sp = spectrum(omega)
     r = sp.rank
     w = sp.values[:r] / sp.values[:r].sum()
     return PureDecomposition(tuple(float(x) for x in w), tuple(sp.vectors[:, j] for j in range(r)))
-
-
-def psd_sqrt(omega):
-    """Positive square root R with R @ R = omega (negative fp dust clipped to 0)."""
-    vals, vecs = np.linalg.eigh(np.asarray(omega, dtype=complex))
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,12 +278,18 @@ def random_unitary(dim, seed=None):
     return Q * phase
 
 
+def four_vector(X):
+    """Pauli coordinates (Tr X, Tr sigma_1 X, Tr sigma_2 X, Tr sigma_3 X), real part."""
+    X = np.asarray(X, dtype=complex)
+    return np.real(np.einsum("kij,ji->k", PAULI_STACK, X))
+
+
 def qubit_to_bloch(omega):
     """Bloch components (x1, x2, x3) with x_k = Tr(sigma_k omega)."""
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (2, 2):
         raise DimMismatch(f"need a 2x2 matrix, got {omega.shape}")
-    return np.array([np.trace(P @ omega).real for P in PAULIS[1:]])
+    return four_vector(omega)[1:]
 
 
 def bloch_to_qubit(x):

@@ -219,7 +219,7 @@ def prop_decomposition_sandwich(rng, trials):
         d = (2, 3, 4)[t % 3]
         A = _rand_symmetric(rng, d)
         omega = states.random_density(d, seed=rng)
-        r = states.state_rank(omega)
+        r = states.spectrum(omega).rank
         L = min(d * d, r + int(rng.integers(0, 3)))
         G = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
         V = solver.stiefel_retract(G)
@@ -285,12 +285,12 @@ def prop_pencil_det_identity(rng, trials):
             T = _rand_kraus_channel(rng, n_ops=2 + t % 3)
         else:
             T = qubitmaps.affine_map(_rand_kraus_channel(rng, n_ops=2).bloch)
-        pencil = qubitmaps.det_T_form(T)
+        q_t, q_det = qubitmaps.det_T_form(T)
         x = rng.normal(size=4) * 2.0
         X = _hermitian_from_vec(x)
-        lhs_t = float(x @ pencil.q_t @ x)
+        lhs_t = float(x @ q_t @ x)
         rhs_t = float(np.linalg.det(qubitmaps.apply_map(T, X)).real)
-        lhs_d = float(x @ pencil.q_det @ x)
+        lhs_d = float(x @ q_det @ x)
         rhs_d = float(np.linalg.det(X).real)
         scale = max(1.0, abs(rhs_t), abs(rhs_d))
         ok = abs(lhs_t - rhs_t) <= 1e-12 * scale and abs(lhs_d - rhs_d) <= 1e-12 * scale
@@ -342,8 +342,8 @@ def prop_psd_certificate(rng, trials):
     for t in range(trials):
         T = _rand_axial(rng)
         sw = qubitmaps.subtraction_weight(T)
-        pencil = qubitmaps.det_T_form(T)
-        M = pencil.matrix(sw.w)
+        q_t, q_det = qubitmaps.det_T_form(T)
+        M = q_t - sw.w * q_det
         xs = rng.normal(size=(1000, 4))
         xs[:, 0] = 1.0
         vals = np.einsum("ij,jk,ik->i", xs, M, xs)
@@ -355,7 +355,8 @@ def prop_cauchy_schwarz(rng, trials):
     for t in range(trials):
         T = _rand_axial(rng)
         sw = qubitmaps.subtraction_weight(T)
-        M = qubitmaps.det_T_form(T).matrix(sw.w)
+        q_t, q_det = qubitmaps.det_T_form(T)
+        M = q_t - sw.w * q_det
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         qx = float(x @ M @ x)
@@ -531,7 +532,7 @@ def prop_isotropic_construction(rng, trials):
         "F = 1/d does not give the maximally mixed state",
     )
     iso = diagonal.isotropic_state(3, 1.0)
-    yield states.state_rank(iso.matrix) == 1, "F = 1 does not give a pure state"
+    yield states.spectrum(iso.matrix).rank == 1, "F = 1 does not give a pure state"
     try:
         diagonal.isotropic_state(3, 1.2)
         yield False, "fidelity 1.2 accepted"

@@ -55,7 +55,7 @@ def test_acceptance_02_closed_form_vs_solver(fifty_states):
     worst_under = 0.0
     for i, rho in enumerate(fifty_states):
         closed = rx.concurrence_2qubit(rho).value
-        rank = rx.state_rank(rho)
+        rank = rx.spectrum(rho).rank
         cfg = rx.SolverConfig(
             members=max(4, 2 * rank), restarts=4, max_iters=500, stall_iters=30, seed=i
         )
@@ -122,7 +122,8 @@ def test_acceptance_05_subtraction_weight_family():
         T = rx.dephased_amplitude_damping(gamma)
         sw = rx.subtraction_weight(T)
         worst_w = max(worst_w, abs(sw.w - gamma))
-        M = rx.det_T_form(T).matrix(sw.w)
+        q_t, q_det = rx.det_T_form(T)
+        M = q_t - sw.w * q_det
         xs = g.normal(size=(10_000, 4))
         xs[:, 0] = 1.0  # trace-one Hermitian samples
         vals = np.einsum("ij,jk,ik->i", xs, M, xs)

@@ -17,11 +17,11 @@ from roofext import (
     lambda_spectrum,
     maximally_mixed,
     product_pure,
-    psd_sqrt,
     pure_projector,
     random_density,
     random_unitary,
     roof_values,
+    spectrum,
     spin_flip,
     takagi,
     theta_expectation,
@@ -183,7 +183,8 @@ def test_takagi_degenerate_clusters(case):
     A, omega = case
     d = A.shape[0]
     n = 1 << (d - 1).bit_length()
-    R = psd_sqrt(omega)
+    sp = spectrum(omega)
+    R = sp.factor @ sp.vectors.conj().T
     B = np.zeros((n, n), dtype=complex)
     B[:d, :d] = R @ A @ R.T
     tak = takagi(B)

@@ -157,6 +157,16 @@ def test_sweep_axial_single_row(qubit_file, tmp_path):
     assert len(lines) == 2  # header + one row
 
 
+def test_sweep_axial_out_of_range_writes_nothing(qubit_file, tmp_path, capsys):
+    out_csv = tmp_path / "never.csv"
+    argv = ["sweep-axial", "--alpha", "2", "--gamma", "0.5", "--beta-steps", "3"]
+    code = main(argv + ["--state", qubit_file, "--out", str(out_csv)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "OutOfRange" in err and "RuntimeWarning" not in err
+    assert not out_csv.exists()
+
+
 def test_solve_diag_entropy(qubit_file, capsys):
     code = main(
         [
@@ -188,6 +198,30 @@ def test_solve_rejects_an_empty_search_exits_4(qubit_file, flag, value, capsys):
     argv = ["solve", "--state", qubit_file, "--objective", "diag-entropy", flag, value]
     assert main(argv) == 4
     assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.fixture
+def theta_file(tmp_path):
+    p = tmp_path / "theta.json"
+    p.write_text(json.dumps({"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--objective", "theta-form"], ["decompose", "--method", "flat-convex"]]
+)
+def test_theta_default_and_dimension_checks(command, qubit_file, bell_file, theta_file, capsys):
+    # a qubit state has no default conjugation
+    assert main(command + ["--state", qubit_file]) == 2
+    assert "--theta is required unless the state is two-qubit" in capsys.readouterr().err
+    # a 2x2 conjugation against a two-qubit state
+    assert main(command + ["--state", bell_file, "--theta", theta_file]) == 3
+    assert "conjugation is 2-dimensional, state is 4" in capsys.readouterr().err
+    # a matching one is accepted
+    argv = command + ["--state", qubit_file, "--theta", theta_file]
+    if command[0] == "solve":
+        argv += ["--restarts", "2", "--max-iters", "50"]
+    assert main(argv) == 0
 
 
 def test_decompose_flat_convex(bell_file, capsys):
@@ -252,6 +286,12 @@ def test_sweep_isotropic(tmp_path):
     # the F = 1 row is pure: roof equals its diagonal entropy exactly
     last = [float(v) for v in lines[3].split(",")]
     assert abs(last[2] - last[3]) < 5e-3
+
+
+def test_sweep_isotropic_rejects_zero_members(tmp_path, capsys):
+    argv = ["sweep-isotropic", "--dim", "3", "--steps", "1", "--members", "0"]
+    assert main(argv + ["--out", str(tmp_path / "iso.csv")]) == 4
+    assert "members=0" in capsys.readouterr().err
 
 
 def test_solve_requires_map_for_output_objectives(qubit_file):

@@ -14,9 +14,8 @@ from roofext import (
     minimize_roof,
     output_entropy_objective,
     random_density,
-    spectral_decomposition,
+    spectrum,
     sqrt_det_output_objective,
-    state_rank,
     theta_form_objective,
     wootters_conjugation,
 )
@@ -31,9 +30,8 @@ MAKERS = [sqrt_det_output_objective, det_output_objective, output_entropy_object
 
 
 def _square_root(omega):
-    vals, vecs = spectral_decomposition(omega)
-    r = state_rank(omega)
-    return vecs[:, :r] * np.sqrt(vals[:r])
+    sp = spectrum(omega)
+    return sp.factor[:, : sp.rank]
 
 
 def _assert_gradient_matches(objective, K, V):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from roofext import (
     DegeneratePencil,
+    DimMismatch,
     EmptyInterval,
     NotPSD,
     NotStandardForm,
@@ -36,6 +37,7 @@ from roofext import (
     length_two_decomposition,
     map_concurrence,
     pure_projector,
+    qubit_to_bloch,
     random_density,
     random_pure,
     subtraction_weight,
@@ -43,7 +45,8 @@ from roofext import (
     theta_from_kraus_pair,
     two_kraus_seminorm,
 )
-from roofext import qubitmaps
+import roofext
+from roofext import qubitmaps, states
 from roofext.qubitmaps import affine_map, axial_concurrence_weight, axial_tangle_weight
 from roofext.verify import _hermitian_from_vec, _rand_kraus_channel, _rand_kraus_ops
 
@@ -56,6 +59,18 @@ HH3 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 def test_four_vector_round_trip(x):
     X = _hermitian_from_vec(x)
     np.testing.assert_allclose(four_vector(X), x, atol=1e-12)
+
+
+def test_four_vector_is_the_one_bloch_conversion():
+    assert roofext.four_vector is qubitmaps.four_vector is states.four_vector
+    g = np.random.default_rng(12)
+    paulis = (states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z)
+    for _ in range(20):
+        rho = random_density(2, seed=g)
+        x = np.array([np.trace(P @ rho).real for P in paulis])
+        np.testing.assert_allclose(qubit_to_bloch(rho), x, rtol=0.0, atol=1e-15)
+    with pytest.raises(DimMismatch):
+        qubit_to_bloch(np.eye(3) / 3.0)
 
 
 def test_axial_map_matches_kraus_damping():
@@ -84,6 +99,22 @@ def test_axial_map_range_checks():
     axial_map(0.7, bmax, 0.6)
 
 
+@pytest.mark.parametrize("alpha,gamma", [(2.0, 0.5), (0.5, -0.1), (float("nan"), 0.5)])
+def test_axial_closed_forms_reject_out_of_range(alpha, gamma):
+    msg = "axial alpha, gamma must lie in \\[0,1\\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: axial_beta_max(alpha, gamma),
+            lambda: axial_critical_beta_sq(alpha, gamma),
+            lambda: axial_concurrence_weight(alpha, 0.0, gamma),
+            lambda: axial_tangle_weight(alpha, 0.0, gamma),
+            lambda: axial_map(alpha, 0.0, gamma),
+        ):
+            with pytest.raises(OutOfRange, match=msg):
+                call()
+
+
 def test_affine_map_positivity_sampling():
     bad = np.eye(4)
     bad[3, 3] = 1.1  # stretches the Bloch ball outside itself
@@ -100,7 +131,8 @@ def test_affine_map_exact_positivity():
 
 
 def _min_eig(T, w):
-    return np.linalg.eigvalsh(det_T_form(T).matrix(w))[0]
+    q_t, q_det = det_T_form(T)
+    return np.linalg.eigvalsh(q_t - w * q_det)[0]
 
 
 def test_exact_weight_three_kraus_endpoints():
@@ -165,11 +197,11 @@ def test_det_form_identity(seed):
     a, gam = g.uniform(0.05, 0.95, size=2)
     b = g.uniform(0.0, 1.0) * axial_beta_max(a, gam)
     T = axial_map(a, b, gam)
-    pencil = det_T_form(T)
+    q_t, q_det = det_T_form(T)
     x = g.normal(size=4)
     X = _hermitian_from_vec(x)
-    assert abs(x @ pencil.q_t @ x - np.linalg.det(apply_map(T, X)).real) < 1e-12
-    assert abs(x @ pencil.q_det @ x - np.linalg.det(X).real) < 1e-12
+    assert abs(x @ q_t @ x - np.linalg.det(apply_map(T, X)).real) < 1e-12
+    assert abs(x @ q_det @ x - np.linalg.det(X).real) < 1e-12
 
 
 def test_subtraction_weight_dephased_damping():
@@ -349,7 +381,7 @@ def test_tangle_weight_closed_forms():
     g = np.random.default_rng(9)
     for n_ops in (1, 2, 3, 4):
         T = _rand_kraus_channel(g, n_ops)
-        spatial = det_T_form(T).q_t[1:, 1:]
+        spatial = det_T_form(T)[0][1:, 1:]
         assert abs(tangle_weight(T) + 4.0 * np.linalg.eigvalsh(spatial)[0]) <= 1e-12
 
 
@@ -385,16 +417,16 @@ def test_chord_eigensolve_budget(monkeypatch):
 
 def _reference_weight(T, psd_tol=1e-9):
     """(w_lo, w_hi) by one eigvalsh per candidate, tested lazily from each end."""
-    pencil = det_T_form(T)
-    scale = max(1.0, float(np.max(np.abs(pencil.q_t))))
+    q_t, q_det = det_T_form(T)
+    scale = max(1.0, float(np.max(np.abs(q_t))))
     min_eig = {}
 
     def lam(w):
         if w not in min_eig:
-            min_eig[w] = float(np.linalg.eigvalsh(pencil.matrix(w))[0])
+            min_eig[w] = float(np.linalg.eigvalsh(q_t - w * q_det)[0])
         return min_eig[w]
 
-    roots = np.linalg.eigvals(np.linalg.solve(pencil.q_det, pencil.q_t))
+    roots = np.linalg.eigvals(np.linalg.solve(q_det, q_t))
     roots = np.sort(roots[np.abs(roots.imag) <= 1e-6].real)
     cands = {0.0, 1.0}
     for c in np.split(roots, np.flatnonzero(np.diff(roots) > 1e-6) + 1):

@@ -3,6 +3,7 @@ import pytest
 
 from roofext import (
     ConfigError,
+    PureDecomposition,
     SolverConfig,
     bell_state,
     det_output_objective,
@@ -15,9 +16,8 @@ from roofext import (
     output_entropy_objective,
     pure_projector,
     random_density,
-    spectral_decomposition,
+    spectrum,
     sqrt_det_output_objective,
-    state_rank,
     theta_form_objective,
     verify_roof_point,
     werner_state,
@@ -45,9 +45,8 @@ def test_stiefel_retract_stack_matches_slices(rng):
 
 
 def _closures(objective, omega):
-    vals, vecs = spectral_decomposition(omega)
-    r = state_rank(omega)
-    return _roof_closures(objective, vecs[:, :r] * np.sqrt(vals[:r]), 1e-6), r
+    sp = spectrum(omega)
+    return _roof_closures(objective, sp.factor[:, : sp.rank], 1e-6), sp.rank
 
 
 def _random_stack(rng, n, L, r):
@@ -186,13 +185,8 @@ def test_minimize_is_below_random_point(rng):
 
 
 def _spectral(rho):
-    from roofext import PureDecomposition, spectral_decomposition
-
-    vals, vecs = spectral_decomposition(rho)
-    keep = vals > 1e-12
-    return PureDecomposition(
-        tuple(float(v) for v in vals[keep]), tuple(vecs[:, i] for i in np.flatnonzero(keep))
-    )
+    sp = spectrum(rho)
+    return PureDecomposition.from_columns(sp.factor[:, : sp.rank])
 
 
 def test_output_entropy_on_pure_state():

@@ -28,20 +28,17 @@ from roofext import (
     maximally_mixed,
     product_pure,
     pure_projector,
-    psd_sqrt,
     qubit_to_bloch,
     random_density,
     random_pure,
     random_unitary,
-    spectral_decomposition,
+    spectral_ensemble,
     spectrum,
-    state_rank,
     subtraction_weight,
     validate_density,
     werner_state,
 )
 from roofext.measures import eta
-from roofext.states import spectral_ensemble
 
 
 def test_validate_density_rejects_nonhermitian():
@@ -85,38 +82,27 @@ def test_spectrum_record(rng, d, rank):
     assert spectrum(sp) is sp is spectrum(sp, dim=d)
     with pytest.raises(DimMismatch):
         spectrum(sp, dim=d + 1)
-    assert sp.dim == d and sp.rank == rank == state_rank(rho)
+    vals = np.linalg.eigvalsh(rho)
+    assert sp.dim == d and sp.rank == rank == int(np.sum(vals > 1e-10))
     assert np.array_equal(sp.matrix, rho)
     assert np.all(np.diff(sp.values) <= 0.0)
-    np.testing.assert_allclose(sp.values, spectral_decomposition(rho)[0], atol=1e-14)
+    np.testing.assert_allclose(sp.values, vals[::-1], atol=1e-14)
     np.testing.assert_allclose((sp.vectors * sp.values) @ sp.vectors.conj().T, rho, atol=1e-14)
     K = sp.factor
     np.testing.assert_allclose(K @ K.conj().T, rho, atol=1e-14)
-    np.testing.assert_allclose(K @ sp.vectors.conj().T, psd_sqrt(rho), atol=1e-12)
+    R = K @ sp.vectors.conj().T
+    np.testing.assert_allclose(R @ R, rho, atol=1e-12)
+    np.testing.assert_allclose(R, R.conj().T, atol=1e-13)
     ens = spectral_ensemble(sp)
     assert len(ens) == rank
     assert ens.reconstruction_error(rho) < 1e-12
 
 
-def test_spectral_decomposition_descending_and_reconstructs(rng):
-    rho = random_density(4, seed=rng)
-    vals, vecs = spectral_decomposition(rho)
-    assert np.all(np.diff(vals) <= 1e-14)
-    rebuilt = (vecs * vals) @ vecs.conj().T
-    np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
-
-
-def test_psd_sqrt(rng):
-    rho = random_density(3, seed=rng)
-    R = psd_sqrt(rho)
-    np.testing.assert_allclose(R @ R, rho, atol=1e-12)
-    np.testing.assert_allclose(R, R.conj().T, atol=1e-13)
-
-
-def test_state_rank(rng):
-    assert state_rank(maximally_mixed(4)) == 4
-    assert state_rank(pure_projector(bell_state("phi+"))) == 1
-    assert state_rank(random_density(4, rank=2, seed=rng)) == 2
+def test_spectrum_rank(rng):
+    cases = [(maximally_mixed(4), 4), (pure_projector(bell_state("phi+")), 1)]
+    cases.append((random_density(4, rank=2, seed=rng), 2))
+    for rho, rank in cases:
+        assert spectrum(rho).rank == rank == int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
 
 
 def test_pure_decomposition_validation(rng):
