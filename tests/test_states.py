@@ -98,6 +98,22 @@ def test_spectrum_record(rng, d, rank):
     assert ens.reconstruction_error(rho) < 1e-12
 
 
+def test_spectral_decomposition_descending_and_reconstructs(rng):
+    rho = random_density(4, seed=rng)
+    sp = spectrum(rho)
+    assert np.all(np.diff(sp.values) <= 1e-14)
+    rebuilt = (sp.vectors * sp.values) @ sp.vectors.conj().T
+    np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
+
+
+def test_psd_sqrt(rng):
+    rho = random_density(3, seed=rng)
+    sp = spectrum(rho)
+    R = sp.factor @ sp.vectors.conj().T
+    np.testing.assert_allclose(R @ R, rho, atol=1e-12)
+    np.testing.assert_allclose(R, R.conj().T, atol=1e-13)
+
+
 def test_spectrum_rank(rng):
     cases = [(maximally_mixed(4), 4), (pure_projector(bell_state("phi+")), 1)]
     cases.append((random_density(4, rank=2, seed=rng), 2))
