@@ -68,10 +68,12 @@ def test_runner_tallies_checks_and_prints_notes_in_yield_order(monkeypatch):
 
 
 def test_all_suites_match_the_pinned_output():
-    # `roofext verify --suite all --trials 3 --seed 0`; a deliberate change to
-    # verify's output (a new property, a new note) regenerates this file
-    pinned = (Path(__file__).parent / "data" / "verify_all_t3_s0.txt").read_text()
-    with pytest.warns(DegeneratePencil):  # one seeded length-two case is degenerate
-        code, out = _run(list(verify.SUITE_ORDER), trials=3, seed=0)
-    assert code == 0
-    assert out == pinned
+    # `roofext verify --suite all --trials <n> --seed 0` for n = 3 and 50; a
+    # deliberate change to verify's output (a new property, a new note)
+    # regenerates these files
+    for trials in (3, 50):
+        pinned = (Path(__file__).parent / "data" / f"verify_all_t{trials}_s0.txt").read_text()
+        with pytest.warns(DegeneratePencil):  # seeded length-two cases are degenerate
+            code, out = _run(list(verify.SUITE_ORDER), trials=trials, seed=0)
+        assert code == 0
+        assert out == pinned
