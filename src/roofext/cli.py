@@ -52,11 +52,19 @@ def _theta_for(args, dim):
     return theta
 
 
-def _open_out(path):
+def _write_csv(path, header, rows):
+    """Write the header and the rows, numbers printed %.12g, to path (- for stdout).
+
+    Callers compute every row first, so a failing input leaves no file.
+    """
+    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    text = "".join(line + "\n" for line in lines)
     if path == "-":
-        return sys.stdout, False
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w", encoding="utf-8"), True
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -192,23 +200,13 @@ def cmd_sweep_axial(args):
     a, g = args.alpha, args.gamma
     bmax = qubitmaps.axial_beta_max(a, g)
     m = a + g - 1.0
-    betas = np.linspace(0.0, bmax, n)
-    out, close_me = _open_out(args.out)
-    try:
-        print("beta,w,concurrence,tangle,affine", file=out)
-        for b in betas:
-            T = qubitmaps.axial_map(a, b, g)
-            sw = qubitmaps.subtraction_weight(T)
-            c = float(np.sqrt(qubitmaps.concurrence_sq(T, rho, sw)))
-            tau = qubitmaps.axial_tangle(a, b, g, rho)
-            affine = int(abs(abs(b) - abs(m)) < 1e-9)
-            print(
-                f"{b:.12g},{sw.w:.12g},{c:.12g},{tau:.12g},{affine}",
-                file=out,
-            )
-    finally:
-        if close_me:
-            out.close()
+    rows = []
+    for b in np.linspace(0.0, bmax, n):
+        T = qubitmaps.axial_map(a, b, g)
+        c = float(np.sqrt(qubitmaps.concurrence_sq(T, rho)))
+        tau = qubitmaps.axial_tangle(a, b, g, rho)
+        rows.append((b, T.weight.w, c, tau, int(abs(abs(b) - abs(m)) < 1e-9)))
+    _write_csv(args.out, "beta,w,concurrence,tangle,affine", rows)
     print(f"sweep-axial: wrote {n} rows to {args.out}", file=sys.stderr)
     return 0
 
@@ -221,26 +219,19 @@ def cmd_sweep_isotropic(args):
     fmin = 1.0 / d if args.fidelity_min is None else args.fidelity_min
     fmax = args.fidelity_max
     obj = solver.diag_entropy_objective()
-    out, close_me = _open_out(args.out)
-    try:
-        print("fidelity,x,roof,diag_entropy", file=out)
-        for i, F in enumerate(np.linspace(fmin, fmax, n)):
-            iso = diagonal.isotropic_state(d, float(F))
-            seed = int(np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(1)[0])
-            cfg = solver.SolverConfig(
-                members=2 * d if args.members is None else args.members,
-                restarts=args.restarts,
-                max_iters=args.max_iters,
-                seed=seed,
-            )
-            val = solver.minimize_roof(obj, iso.matrix, cfg).value
-            print(
-                f"{F:.12g},{iso.x:.12g},{val:.12g},{diagonal.diag_entropy(iso.matrix):.12g}",
-                file=out,
-            )
-    finally:
-        if close_me:
-            out.close()
+    rows = []
+    for i, F in enumerate(np.linspace(fmin, fmax, n)):
+        iso = diagonal.isotropic_state(d, float(F))
+        seed = int(np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(1)[0])
+        cfg = solver.SolverConfig(
+            members=2 * d if args.members is None else args.members,
+            restarts=args.restarts,
+            max_iters=args.max_iters,
+            seed=seed,
+        )
+        val = solver.minimize_roof(obj, iso.matrix, cfg).value
+        rows.append((F, iso.x, val, diagonal.diag_entropy(iso.matrix)))
+    _write_csv(args.out, "fidelity,x,roof,diag_entropy", rows)
     print(f"sweep-isotropic: wrote {n} rows to {args.out}", file=sys.stderr)
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .antilinear import lambda_spectrum, wootters_conjugation
 from .errors import OutOfRange, RoofextError
-from .qubitmaps import _subtracted_det, _tangle_axis, apply_map, concurrence_sq, subtraction_weight
+from .qubitmaps import _subtracted_det, apply_map, concurrence_sq
 from .solver import minimize_roof, objective_for, verify_roof_point
 from .states import (
     PureDecomposition,
@@ -92,16 +92,14 @@ def eof_2qubit(rho):
     )
 
 
-def map_concurrence(T, omega, weight=None):
+def map_concurrence(T, omega):
     """C_T(omega) = sqrt of the subtracted determinant form (closed form)."""
-    if weight is None:
-        weight = subtraction_weight(T)
-    val = float(np.sqrt(concurrence_sq(T, omega, weight)))
+    val = float(np.sqrt(concurrence_sq(T, omega)))
     return MeasureReport(
         quantity="concurrence",
         value=val,
         method="closed_form",
-        extras={"w_lo": weight.w_lo, "w_hi": weight.w_hi},
+        extras={"w_lo": T.weight.w_lo, "w_hi": T.weight.w_hi},
     )
 
 
@@ -112,14 +110,14 @@ def channel_tangle(T, omega):
     the form is affine along every vector of that eigenspace, all of R^3 when L = 0.
     """
     sp = spectrum(omega, dim=2)
-    w, axis = _tangle_axis(T)
+    w, axis = T.tangle_axis
     dec = spectral_ensemble(sp) if sp.rank == 1 else bloch_chord(qubit_to_bloch(sp.matrix), axis)
     return MeasureReport(
         quantity="tangle", value=_subtracted_det(T, sp, w), method="closed_form", decomposition=dec
     )
 
 
-def channel_entanglement(T, omega, config=None, weight=None):
+def channel_entanglement(T, omega, config=None):
     """E_T(omega) = convex roof of the output entropy, with the xi(C_T) lower bound.
 
     Pure inputs are evaluated exactly; mixed inputs go to the solver.  The
@@ -127,13 +125,10 @@ def channel_entanglement(T, omega, config=None, weight=None):
     when the value sits on the lower bound (within 1e-3).  Value and upper
     bound are clamped at 0, and the bracket is widened to hold the value when
     it misses by at most BRACKET_TOL; a larger miss raises RoofextError.
-    ``weight`` is the map's SubtractionWeight; it is solved here when not given.
     """
     sp = spectrum(omega, dim=2)
     omega = sp.matrix
-    if weight is None:
-        weight = subtraction_weight(T)
-    c_t = float(np.sqrt(concurrence_sq(T, sp, weight)))
+    c_t = float(np.sqrt(concurrence_sq(T, sp)))
     lower = xi(c_t)
     objective = objective_for(T, "entropy-out")
     ensemble = spectral_ensemble(sp)
@@ -164,48 +159,4 @@ def channel_entanglement(T, omega, config=None, weight=None):
         decomposition=dec,
         bounds=(lower, upper),
         extras={"flat": bool(abs(value - lower) < 1e-3), "concurrence": c_t},
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundReport:
-    """The four quantities of the bound chain and the two inequality verdicts."""
-
-    concurrence_sq: float
-    tangle: float
-    xi_of_concurrence: float
-    entanglement: float
-    tangle_ok: bool
-    entanglement_ok: bool
-
-
-def bound_suite(T, omega, config=None, strict=True):
-    """Check tau >= C^2 and E >= xi(C) for one map and state.
-
-    With strict=True a violated inequality raises; otherwise the verdicts
-    are just reported.
-    """
-    sp = spectrum(omega)
-    weight = subtraction_weight(T)
-    c_sq = concurrence_sq(T, sp, weight)
-    tau = channel_tangle(T, sp).value
-    xi_c = xi(float(np.sqrt(c_sq)))
-    ent = channel_entanglement(T, sp, config, weight).value
-    tangle_ok = bool(tau >= c_sq - 1e-9)
-    entanglement_ok = bool(ent >= xi_c - 5e-3)
-    if strict and not tangle_ok:
-        raise RoofextError(
-            f"invariant tangle >= concurrence^2 violated: tau={tau:.6e} < C^2={c_sq:.6e}"
-        )
-    if strict and not entanglement_ok:
-        raise RoofextError(
-            f"invariant entanglement >= xi(concurrence) violated: E={ent:.6e} < xi={xi_c:.6e}"
-        )
-    return BoundReport(
-        concurrence_sq=float(c_sq),
-        tangle=float(tau),
-        xi_of_concurrence=float(xi_c),
-        entanglement=float(ent),
-        tangle_ok=tangle_ok,
-        entanglement_ok=entanglement_ok,
     )

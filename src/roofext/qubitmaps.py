@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Optional
 
@@ -67,12 +67,31 @@ _SPLIT_GAP = 1e-6
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class QubitStochasticMap:
-    """Positive trace-preserving qubit map; always carries its Bloch 4x4 matrix."""
+    """Positive trace-preserving qubit map; always carries its Bloch 4x4 matrix.
+
+    The determinant form, the subtraction weight and the tangle axis are
+    formed on first use, once per map, as Spectrum.factor is per state.
+    """
 
     kind: str  # "kraus" | "axial" | "affine"
     bloch: np.ndarray
     kraus: Optional[tuple] = None
     params: Optional[tuple] = None  # (alpha, beta, gamma) for axial kind
+
+    @cached_property
+    def det_form(self):
+        """(q_t, scale) of _det_form."""
+        return _det_form(self)
+
+    @cached_property
+    def weight(self):
+        """The SubtractionWeight of the pencil q_t - w Q_det; raises EmptyInterval if none."""
+        return _weight(*self.det_form)
+
+    @cached_property
+    def tangle_axis(self):
+        """(w_tau, v) of _tangle_axis."""
+        return _tangle_axis(self)
 
 
 def apply_map(T, X):
@@ -205,7 +224,7 @@ def det_T_form(T):
     x^T q_t x = det T(X) and x^T q_det x = det X on all of Hermitian 2x2
     space; the form at w is q_t - w * q_det.
     """
-    return _det_form(T)[0], Q_DET.copy()
+    return T.det_form[0].copy(), Q_DET.copy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,9 +249,9 @@ def subtraction_weight(T):
     every cluster mean and every root in (0, 1); w_lo is the lowest and w_hi
     the highest candidate that is PSD within 1e-9 * scale.  Raises
     EmptyInterval when none is, which by the S-lemma means the map is not
-    positive.
+    positive.  The result is the map's own ``weight``, solved once per map.
     """
-    return _weight(*_det_form(T))
+    return T.weight
 
 
 def _weight(q_t, scale):
@@ -280,10 +299,8 @@ def _subtracted_det(T, rho, w):
 
 
 def concurrence_sq(T, rho, weight=None):
-    """C_T(rho)^2 = 4 (det T(rho) - w_lo det rho), clamped at zero."""
-    if weight is None:
-        weight = subtraction_weight(T)
-    return _subtracted_det(T, rho, weight.w)
+    """C_T(rho)^2 = 4 (det T(rho) - w_lo det rho), clamped at zero; weight defaults to T.weight."""
+    return _subtracted_det(T, rho, (T.weight if weight is None else weight).w)
 
 
 def _tangle_axis(T):
@@ -295,7 +312,7 @@ def _tangle_axis(T):
 
 def tangle_weight(T):
     """w_tau = ||L||_2^2 of tau_T = 4 (det T - w_tau det); -4 lambda_min of Q_T's spatial block."""
-    return _tangle_axis(T)[0]
+    return T.tangle_axis[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +418,8 @@ def length_two_decomposition(T, rho):
     sp = spectrum(rho, dim=2)
     if sp.rank == 1:
         return spectral_ensemble(sp)
-    q_t, scale = _det_form(T)
-    vals, vecs = np.linalg.eigh(q_t - _weight(q_t, scale).w * Q_DET)
+    q_t, scale = T.det_form
+    vals, vecs = np.linalg.eigh(q_t - T.weight.w * Q_DET)
     null_dim = int(np.sum(vals <= 1e-8 * scale))
     nu = vecs[:, 0]
     if null_dim > 1:

@@ -1,4 +1,4 @@
-"""JSON serialization of states, decompositions, maps, embeddings, and reports.
+"""JSON serialization: states and maps both ways, decompositions and reports out.
 
 Complex entries are encoded as [re, im] pairs; affine map matrices are plain
 real 4x4 arrays.  All dumps are indent=2 and key-sorted so identical inputs
@@ -11,10 +11,9 @@ import json
 
 import numpy as np
 
-from .diagonal import EmbeddingSpec
 from .errors import ParseError
 from .qubitmaps import affine_map, axial_map, kraus_map
-from .states import PureDecomposition, validate_density
+from .states import validate_density
 
 
 def dumps(obj):
@@ -59,15 +58,6 @@ def decomposition_to_json(dec):
     }
 
 
-def decomposition_from_json(obj):
-    try:
-        weights = tuple(float(p) for p in obj["weights"])
-        states = tuple(json_to_complex_array(s) for s in obj["states"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"decomposition object needs 'weights' and 'states': {exc}") from None
-    return PureDecomposition(weights, states)
-
-
 def map_to_json(T):
     if T.kind == "kraus":
         return {"kind": "kraus", "ops": [complex_array_to_json(E) for E in T.kraus]}
@@ -102,22 +92,6 @@ def map_from_json(obj):
             raise ParseError(f"affine map needs a real 'm' matrix: {exc}") from None
         return affine_map(m)
     raise ParseError(f"unknown map kind {kind!r}")
-
-
-def embedding_to_json(spec):
-    return {
-        "blocks": [int(m) for m in spec.blocks],
-        "amplitudes": [complex_array_to_json(y) for y in spec.amplitudes],
-    }
-
-
-def embedding_from_json(obj):
-    try:
-        blocks = [int(m) for m in obj["blocks"]]
-        amps = [json_to_complex_array(y) for y in obj["amplitudes"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"embedding object needs 'blocks' and 'amplitudes': {exc}") from None
-    return EmbeddingSpec(tuple(blocks), tuple(amps))
 
 
 def report_to_json(report):

@@ -289,9 +289,20 @@ def test_sweep_isotropic(tmp_path):
 
 
 def test_sweep_isotropic_rejects_zero_members(tmp_path, capsys):
+    out_csv = tmp_path / "iso.csv"
     argv = ["sweep-isotropic", "--dim", "3", "--steps", "1", "--members", "0"]
-    assert main(argv + ["--out", str(tmp_path / "iso.csv")]) == 4
+    assert main(argv + ["--out", str(out_csv)]) == 4
     assert "members=0" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_sweep_isotropic_out_of_range_writes_nothing(tmp_path, capsys):
+    # the F = 1/3 row is valid; F = 1.5 fails after it, and no partial file remains
+    out_csv = tmp_path / "iso.csv"
+    argv = ["sweep-isotropic", "--dim", "3", "--steps", "2", "--fidelity-max", "1.5"]
+    assert main(argv + ["--restarts", "2", "--max-iters", "100", "--out", str(out_csv)]) == 4
+    assert "OutOfRange" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_solve_requires_map_for_output_objectives(qubit_file):

@@ -11,8 +11,6 @@ from roofext import (
     axial_map,
     axial_tangle,
     bell_state,
-    bloch_to_qubit,
-    bound_suite,
     channel_entanglement,
     channel_tangle,
     concurrence_2qubit,
@@ -142,32 +140,6 @@ def test_channel_entanglement_dim_check():
     with pytest.raises(DimMismatch):
         channel_entanglement(diagonal_channel(), maximally_mixed(4))
 
-
-def test_bound_suite_verdicts(rng):
-    T = dephased_amplitude_damping(0.5)
-    omega = bloch_to_qubit([0.5, 0.0, 0.0])  # the standard strict-gap test point
-    report = bound_suite(T, omega, SolverConfig(members=4, restarts=4, max_iters=500, seed=2),
-                         strict=False)
-    assert report.tangle_ok and report.entanglement_ok
-    assert report.tangle > report.concurrence_sq + 1e-6  # strict gap here
-    # strict mode passes cleanly on a sound configuration
-    report2 = bound_suite(T, omega, SolverConfig(members=4, restarts=4, max_iters=500, seed=2))
-    assert report2.tangle_ok and report2.entanglement_ok
-
-
-def test_bound_suite_solves_the_pencil_once(monkeypatch):
-    calls = []
-    solve = measures.subtraction_weight
-
-    def counted(T, *args, **kwargs):
-        calls.append(T)
-        return solve(T, *args, **kwargs)
-
-    monkeypatch.setattr(measures, "subtraction_weight", counted)
-    T = dephased_amplitude_damping(0.5)
-    omega = bloch_to_qubit([0.5, 0.0, 0.0])
-    bound_suite(T, omega, SolverConfig(members=4, restarts=2, max_iters=200, seed=2), strict=False)
-    assert calls == [T]
 
 def test_report_bounds_sandwich_random(rng):
     for _ in range(5):

@@ -22,6 +22,7 @@ from roofext import (
     axial_map,
     axial_tangle,
     bloch_to_qubit,
+    channel_entanglement,
     channel_tangle,
     concurrence_general_two_kraus,
     concurrence_sq,
@@ -504,6 +505,14 @@ def test_subtraction_weight_is_one_stacked_solve(monkeypatch):
         calls.clear()
         subtraction_weight(T)
         assert sorted(calls) == ["eigvals", "eigvalsh"]
+        calls.clear()
+        subtraction_weight(T)  # the map's record holds the weight
+        assert calls == []
+    # affine_map's positivity check is the map's one solve
+    T = affine_map(_rand_kraus_channel(g, 3).bloch)
+    calls.clear()
+    subtraction_weight(T)
+    assert calls == []
 
 
 def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
@@ -511,11 +520,15 @@ def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
     monkeypatch.setattr(qubitmaps, "_det_form", _counted(qubitmaps._det_form, forms))
     g = np.random.default_rng(15)
     rho = random_density(2, rank=2, seed=g)
+    pure = pure_projector(random_pure(2, seed=g))  # channel_entanglement runs no solver here
     for T in (_rand_kraus_channel(g, 3), axial_map(0.3, 0.4, 0.8)):
         forms.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePencil)
             length_two_decomposition(T, rho)
+        map_concurrence(T, rho)
+        channel_entanglement(T, pure)
+        subtraction_weight(T)
         assert len(forms) == 1
 
 

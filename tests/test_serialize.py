@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from roofext import ParseError, bell_state, pure_projector, random_density
-from roofext.diagonal import qubit_split_embedding
 from roofext.measures import concurrence_2qubit, map_concurrence, partial_trace_kraus
 from roofext.qubitmaps import axial_map, kraus_map
 from roofext.serialize import (
     complex_array_to_json,
-    decomposition_from_json,
     decomposition_to_json,
     dumps,
-    embedding_from_json,
-    embedding_to_json,
     json_to_complex_array,
     map_from_json,
     map_to_json,
@@ -62,19 +58,16 @@ def _damping_ops(p):
 
 
 def test_decomposition_round_trip(rng):
+    # pins the CLI's decomposition format: weights, and states as [re, im] pairs
     psi1 = random_pure(2, seed=rng)
     psi2 = random_pure(2, seed=rng)
     dec = PureDecomposition((0.4, 0.6), (psi1, psi2))
-    back = decomposition_from_json(decomposition_to_json(dec))
+    data = json.loads(dumps(decomposition_to_json(dec)))
+    assert set(data) == {"weights", "states"}
+    states = tuple(json_to_complex_array(s) for s in data["states"])
+    back = PureDecomposition(tuple(data["weights"]), states)
     assert back.weights == dec.weights
     np.testing.assert_array_equal(np.asarray(back.states), np.asarray(dec.states))
-
-
-def test_embedding_round_trip():
-    spec = qubit_split_embedding()
-    back = embedding_from_json(embedding_to_json(spec))
-    assert back.blocks == spec.blocks
-    np.testing.assert_allclose(back.isometry(), spec.isometry(), atol=0)
 
 
 def test_report_json_shape():
