@@ -216,7 +216,9 @@ def cmd_sweep_isotropic(args):
     n = args.steps
     if n < 1:
         raise ParseError("--steps must be at least 1")
-    fmin = 1.0 / d if args.fidelity_min is None else args.fidelity_min
+    fmin = args.fidelity_min
+    if fmin is None:  # the maximally mixed state; isotropic_state checks d before 1/d
+        fmin = 1.0 / diagonal.isotropic_state(d, 1.0).dim
     fmax = args.fidelity_max
     obj = solver.diag_entropy_objective()
     rows = []

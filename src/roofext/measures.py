@@ -48,7 +48,7 @@ def xi(x):
     Convex and increasing on [0,1] with xi(0) = 0 and xi(1) = log 2.
     """
     x = float(x)
-    if abs(x) > 1.0 + 1e-12:
+    if not abs(x) <= 1.0 + 1e-12:
         raise OutOfRange(f"xi argument must lie in [-1,1], got {x}")
     x = min(1.0, max(-1.0, x))
     y = float(np.sqrt(1.0 - x * x))

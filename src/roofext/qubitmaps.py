@@ -10,11 +10,12 @@ whose square root is (half) the map concurrence:
 where [w_lo, w_hi] is the set of w making Q_T - w Q_det positive
 semidefinite.  Q_det is invertible, so both endpoints are 0, 1 or real
 eigenvalues of Q_det^-1 Q_T: one generalized-eigenvalue solve gives the
-candidates and one stacked eigvalsh tests them all, which gives the interval
+candidates and one stacked eigh tests them all, which gives the interval
 exactly.  By the S-lemma the interval is nonempty exactly when the map is
 positive, which is how affine maps are certified; Kraus maps are completely
 positive by construction.  Optimal decompositions have length two: cut the
-Bloch ball along the null direction of the pencil at w_lo.
+Bloch ball along the null direction of the pencil at w_lo, read from the
+eigenpairs that the same stacked eigh gave there.
 
 The tangle of every map is the same form with w_tau = ||L||_2^2, L the 3x3
 Bloch block: convex, 4 det T on pure states and affine along the top
@@ -115,7 +116,7 @@ def kraus_map(ops):
     E = np.array(ops)
     Ed = E.conj().mT
     dev = float(np.max(np.abs((Ed @ E).sum(axis=0) - np.eye(2))))
-    if dev > TP_TOL:
+    if not dev <= TP_TOL:
         raise NotTracePreserving(f"sum E^dag E deviates from identity by {dev:.3e}")
     out = (E[:, None] @ PAULI_STACK @ Ed[:, None]).sum(axis=0)  # out[nu] = T(sigma_nu)
     bloch = np.real(np.einsum("kij,nji->kn", PAULI_STACK, out)) / 2.0
@@ -149,7 +150,7 @@ def axial_map(alpha, beta, gamma):
     """
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     bmax = axial_beta_max(alpha, gamma)
-    if beta * beta > bmax * bmax + 1e-12:
+    if not beta * beta <= bmax * bmax + 1e-12:
         raise OutOfRange(f"|beta|={abs(beta):.6f} exceeds the positivity bound {bmax:.6f}")
     bloch = np.array(
         [
@@ -167,6 +168,8 @@ def affine_map(m):
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ShapeMismatch(f"affine map needs a 4x4 real matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise OutOfRange(f"affine map has {np.count_nonzero(~np.isfinite(m))} non-finite entries")
     dev = float(np.max(np.abs(m[0] - np.array([1.0, 0.0, 0.0, 0.0]))))
     if dev > TP_TOL:
         raise NotTracePreserving(f"trace row deviates from (1,0,0,0) by {dev:.3e}")
@@ -234,6 +237,8 @@ class SubtractionWeight:
     w_lo: float
     w_hi: float
     w: float
+    # (vals, vecs) of eigh(q_t - w Q_det), which length_two_decomposition reads
+    pencil_eigh: Optional[tuple] = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def subtraction_weight(T):
@@ -245,11 +250,12 @@ def subtraction_weight(T):
     rounding splits into a pair about 1e-8 apart, real or complex; such a
     cluster counts as its mean when the pencil is singular there (minimum
     eigenvalue within 1e-12 * scale of 0), and as its roots in (0, 1)
-    otherwise.  One stacked eigvalsh gives the minimum eigenvalue at 0, 1,
+    otherwise.  One stacked eigh gives the minimum eigenvalue at 0, 1,
     every cluster mean and every root in (0, 1); w_lo is the lowest and w_hi
     the highest candidate that is PSD within 1e-9 * scale.  Raises
     EmptyInterval when none is, which by the S-lemma means the map is not
-    positive.  The result is the map's own ``weight``, solved once per map.
+    positive.  The result is the map's own ``weight``, solved once per map;
+    it keeps the eigenpairs at w = w_lo for length_two_decomposition.
     """
     return T.weight
 
@@ -267,8 +273,8 @@ def _weight(q_t, scale):
     # left-to-right sums, as numpy's mean of <= 4 values (sum() may compensate)
     means = [min(1.0, max(0.0, reduce(add, c) / len(c))) if len(c) > 1 else None for c in clusters]
     ws = [0.0, 1.0] + [m for m in means if m is not None] + [r for r in roots if 0.0 < r < 1.0]
-    mins = np.linalg.eigvalsh(q_t - np.array(ws)[:, None, None] * Q_DET)[:, 0]
-    lam = dict(zip(ws, mins.tolist()))
+    vals, vecs = np.linalg.eigh(q_t - np.array(ws)[:, None, None] * Q_DET)
+    lam = dict(zip(ws, vals[:, 0].tolist()))
     cands = {0.0, 1.0}
     for c, mean in zip(clusters, means):
         if mean is not None and abs(lam[mean]) <= 1e-12 * scale:
@@ -284,7 +290,8 @@ def _weight(q_t, scale):
         raise EmptyInterval(
             f"pencil is never PSD on [0,1]; best minimum eigenvalue {lam[w_best]:.3e} at w={w_best:.6f}"
         )
-    return SubtractionWeight(w_lo=psd[0], w_hi=psd[-1], w=psd[0])
+    i = ws.index(psd[0])
+    return SubtractionWeight(w_lo=psd[0], w_hi=psd[-1], w=psd[0], pencil_eigh=(vals[i], vecs[i]))
 
 
 def _subtracted_det(T, rho, w):
@@ -408,19 +415,20 @@ def length_two_decomposition(T, rho):
     """Optimal two-member decomposition for the map concurrence of a qubit state.
 
     Members are the intersections of the Bloch sphere with the line through
-    rho along the null direction of the pencil at w_lo.  When the null space
-    has dimension > 1 (two-Kraus channels, axial maps at a branch point) it
-    warns DegeneratePencil and takes the null direction with zero trace
-    component: along it the subtracted form is constant, so both members
-    have the concurrence of rho.  Another null direction can give a
-    decomposition whose average is above the roof.
+    rho along the null direction of the pencil at w_lo, read from the
+    eigenpairs that the weight's solve kept there; eigenvalues <= 1e-8 *
+    scale count as null, and the state's spectrum is the only new
+    eigensolve.  When the null space has dimension > 1 (two-Kraus channels,
+    axial maps on their beta^2 branch) it warns DegeneratePencil and takes
+    the null direction with zero trace component: along it the subtracted
+    form is constant, so both members have the concurrence of rho.  Another
+    null direction can give a decomposition whose average is above the roof.
     """
     sp = spectrum(rho, dim=2)
     if sp.rank == 1:
         return spectral_ensemble(sp)
-    q_t, scale = T.det_form
-    vals, vecs = np.linalg.eigh(q_t - T.weight.w * Q_DET)
-    null_dim = int(np.sum(vals <= 1e-8 * scale))
+    vals, vecs = T.weight.pencil_eigh
+    null_dim = int(np.sum(vals <= 1e-8 * T.det_form[1]))
     nu = vecs[:, 0]
     if null_dim > 1:
         warnings.warn(

@@ -70,15 +70,15 @@ def _validated(matrix, vectors):
         raise DimMismatch(f"expected a square matrix, got shape {omega.shape}")
     adj = omega.conj().T
     herm_dev = float(np.abs(omega - adj).max())
-    if herm_dev > HERM_TOL:
+    if not herm_dev <= HERM_TOL:  # NaN fails every check
         raise NotHermitian(f"|omega - omega^dag| = {herm_dev:.3e} > {HERM_TOL:.1e}")
     trace_dev = abs(complex(omega.trace()) - 1.0)
-    if trace_dev > TRACE_TOL:
+    if not trace_dev <= TRACE_TOL:
         raise TraceNotOne(f"|Tr omega - 1| = {trace_dev:.3e} > {TRACE_TOL:.1e}")
     herm = (omega + adj) / 2.0
     vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     min_eig = float(vals[0])
-    if min_eig < EIG_FLOOR:
+    if not min_eig >= EIG_FLOOR:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} < {EIG_FLOOR:.1e}")
     return omega, vals, vecs
 

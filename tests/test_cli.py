@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roofext import bell_state, pure_projector, werner_state
+from roofext import DegeneratePencil, bell_state, pure_projector, random_density, werner_state
 from roofext.cli import main
 from roofext.qubitmaps import (
     affine_map,
+    axial_beta_max,
+    axial_map,
     dephased_amplitude_damping,
     depolarizing_map,
     diagonal_channel,
@@ -116,6 +118,30 @@ def test_measure_invariant_violation_exits_4(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "invariant violation" in err and "TraceNotOne" in err
+
+
+NAN_MAPS = {
+    "axial": {"kind": "axial", "alpha": 0.5, "beta": float("nan"), "gamma": 0.5},
+    "affine": {"kind": "affine", "m": np.diag([1.0, float("nan"), 1.0, 1.0]).tolist()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_MAPS))
+def test_measure_nan_map_exits_4(qubit_file, tmp_path, capsys, kind):
+    p = tmp_path / "nan_map.json"
+    p.write_text(json.dumps(NAN_MAPS[kind]))  # json writes and reads the NaN literal
+    assert main(["measure", "--state", qubit_file, "--map", str(p), "--quantity", "concurrence"]) == 4
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "Traceback" not in err
+
+
+def test_measure_nan_state_exits_4(tmp_path, capsys):
+    p = tmp_path / "nan_state.json"
+    matrix = [[[0.5, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    p.write_text(json.dumps({"dim": 2, "matrix": matrix}))
+    assert main(["measure", "--state", str(p), "--quantity", "ed"]) == 4
+    err = capsys.readouterr().err
+    assert "NotHermitian" in err and "Traceback" not in err
 
 
 def test_sweep_axial_csv(qubit_file, tmp_path, capsys):
@@ -238,6 +264,35 @@ def test_decompose_ed_pair(qubit_file, capsys):
     assert len(out["weights"]) == 2
 
 
+def _kraus_channel(seed, n_ops):
+    g = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(g.normal(size=(2 * n_ops, 2)) + 1j * g.normal(size=(2 * n_ops, 2)))
+    return kraus_map([Q[2 * k : 2 * k + 2] for k in range(n_ops)])
+
+
+def test_decompose_length_two_output_is_pinned(tmp_path, capsys):
+    # the 2-Kraus channel and the axial map (on its beta^2 branch) have a
+    # two-dimensional pencil null space; the 3-Kraus and damping maps do not
+    state = tmp_path / "state.json"
+    state.write_text(dumps(state_to_json(random_density(2, rank=2, seed=3))))
+    maps = [
+        _kraus_channel(3, 3),
+        _kraus_channel(2, 2),
+        axial_map(0.35, 0.4 * axial_beta_max(0.35, 0.8), 0.8),
+        dephased_amplitude_damping(0.5),
+    ]
+    out = ""
+    with pytest.warns(DegeneratePencil):
+        for i, T in enumerate(maps):
+            p = tmp_path / f"map{i}.json"
+            p.write_text(dumps(map_to_json(T)))
+            argv = ["decompose", "--state", str(state), "--map", str(p), "--method", "length-two"]
+            assert main(argv) == 0
+            out += capsys.readouterr().out
+    pinned = (Path(__file__).parent / "data" / "decompose_length_two.txt").read_text()
+    assert out == pinned
+
+
 def test_h0_experiment_d2(capsys):
     code = main(["h0-experiment", "--dim", "2"])
     assert code == 0
@@ -293,6 +348,14 @@ def test_sweep_isotropic_rejects_zero_members(tmp_path, capsys):
     argv = ["sweep-isotropic", "--dim", "3", "--steps", "1", "--members", "0"]
     assert main(argv + ["--out", str(out_csv)]) == 4
     assert "members=0" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_sweep_isotropic_rejects_dim_zero(tmp_path, capsys):
+    # the default --fidelity-min is 1/d; isotropic_state checks d before it divides
+    out_csv = tmp_path / "iso.csv"
+    assert main(["sweep-isotropic", "--dim", "0", "--out", str(out_csv)]) == 4
+    assert "ConfigError" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -20,6 +20,7 @@ from roofext import (
     diagonal_channel,
     eof_2qubit,
     identity_map,
+    kraus_map,
     map_concurrence,
     maximally_mixed,
     minimize_roof,
@@ -29,7 +30,9 @@ from roofext import (
     random_density,
     random_pure,
     shannon_entropy,
+    spectrum,
     von_neumann_entropy,
+    validate_density,
     werner_state,
     xi,
 )
@@ -205,3 +208,23 @@ def test_channel_tangle_identity_and_pure_inputs():
 def test_channel_tangle_dim_check():
     with pytest.raises(DimMismatch):
         channel_tangle(affine_map(depolarizing_map(0.5).bloch), maximally_mixed(4))
+
+
+NAN = float("nan")
+NAN_STATE = np.array([[NAN, 0.0], [0.0, 0.5]])
+NAN_INPUTS = {
+    "validate_density": lambda: validate_density(NAN_STATE),
+    "spectrum": lambda: spectrum(NAN_STATE),
+    "concurrence_sq": lambda: concurrence_sq(identity_map(), np.array([[0.5, NAN], [NAN, 0.5]])),
+    "xi": lambda: xi(NAN),
+    "kraus_map": lambda: kraus_map([np.diag([1.0, NAN])]),
+    "axial_map": lambda: axial_map(0.5, NAN, 0.5),
+    "affine_map": lambda: affine_map(np.diag([1.0, NAN, 1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_nan_input_raises_a_typed_error(name):
+    # NaN compares False with every tolerance, so each check is written to fail on it
+    with pytest.raises(RoofextError, match="nan|non-finite"):
+        NAN_INPUTS[name]()

@@ -409,7 +409,7 @@ def test_chord_eigensolve_budget(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePencil)
             length_two_decomposition(T, rho)
-        assert len(calls) <= weight_calls + 2  # the state and the pencil at w_lo
+        assert len(calls) <= weight_calls + 1  # the state's; the weight's solve gives the cut
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ def test_subtraction_weight_is_one_stacked_solve(monkeypatch):
     for T in maps:
         calls.clear()
         subtraction_weight(T)
-        assert sorted(calls) == ["eigvals", "eigvalsh"]
+        assert sorted(calls) == ["eigh", "eigvals"]
         calls.clear()
         subtraction_weight(T)  # the map's record holds the weight
         assert calls == []
@@ -516,8 +516,10 @@ def test_subtraction_weight_is_one_stacked_solve(monkeypatch):
 
 
 def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
-    forms = []
+    forms, calls = [], []
     monkeypatch.setattr(qubitmaps, "_det_form", _counted(qubitmaps._det_form, forms))
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _counted(getattr(np.linalg, name), calls))
     g = np.random.default_rng(15)
     rho = random_density(2, rank=2, seed=g)
     pure = pure_projector(random_pure(2, seed=g))  # channel_entanglement runs no solver here
@@ -526,6 +528,13 @@ def test_length_two_decomposition_forms_the_pencil_once(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePencil)
             length_two_decomposition(T, rho)
+            sp = states.spectrum(rho)
+            calls.clear()
+            length_two_decomposition(T, rho)
+            assert calls == ["eigh"]  # the state's spectrum; the cut reads the weight's eigh
+            calls.clear()
+            length_two_decomposition(T, sp)
+            assert calls == []
         map_concurrence(T, rho)
         channel_entanglement(T, pure)
         subtraction_weight(T)
