@@ -58,7 +58,7 @@ def check_symmetric(A):
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
     At = A.T
     dev = float(np.abs(A - At).max())
-    if dev > SYMMETRY_TOL:
+    if not dev <= SYMMETRY_TOL:  # NaN fails every check
         raise NotSymmetric(f"|A - A^T| = {dev:.3e} > {SYMMETRY_TOL:.1e}")
     return (A + At) / 2.0
 

@@ -9,6 +9,7 @@ forms for every qubit map; entropies are natural-log.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,10 @@ BRACKET_TOL = 1e-12
 
 
 def shannon_entropy(p):
-    return float(np.sum(eta(np.asarray(p, dtype=float))))
+    h = float(np.sum(eta(np.asarray(p, dtype=float))))
+    if not math.isfinite(h):  # a NaN, infinite or negative probability
+        raise OutOfRange(f"entropy of {p} is non-finite")
+    return h
 
 
 def von_neumann_entropy(rho):

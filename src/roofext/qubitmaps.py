@@ -356,13 +356,13 @@ def _standard_form_entries(A, B):
     if A.shape != (2, 2) or B.shape != (2, 2):
         raise ShapeMismatch("standard-form Kraus pair must be 2x2")
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    if max(abs(A[0, 1]), abs(A[1, 0])) > 1e-12 * scale:
+    if not max(abs(A[0, 1]), abs(A[1, 0])) <= 1e-12 * scale:
         raise NotStandardForm("first Kraus operator must be diagonal")
-    if max(abs(B[0, 0]), abs(B[1, 1])) > 1e-12 * scale:
+    if not max(abs(B[0, 0]), abs(B[1, 1])) <= 1e-12 * scale:
         raise NotStandardForm("second Kraus operator must be antidiagonal")
     tp = A.conj().T @ A + B.conj().T @ B
     dev = float(np.max(np.abs(tp - np.eye(2))))
-    if dev > TP_TOL:
+    if not dev <= TP_TOL:  # NaN fails every check
         raise NotTracePreserving(f"A^dag A + B^dag B deviates from identity by {dev:.3e}")
     return A[0, 0], A[1, 1], B[0, 1], B[1, 0]
 

@@ -8,10 +8,10 @@ an exact gradient, so one call per step gives the gradients of every
 member; an objective without one gets batched central differences,
 exploiting that member k depends only on row k of V.
 The restarts of a solve descend in lockstep as one (R, L, r) stack: one
-batch call gives the values of every running restart, one more their
-gradients, and one stacked QR retracts them all, while each restart keeps
-its own Armijo step, stall count and stop reason and leaves the stack when
-it stops.
+batch call gives the gradients of every running restart, and each batch of
+Armijo backtracking trials is one stacked QR retraction and one value call
+over every restart still searching, while each restart keeps its own Armijo
+step, stall count and stop reason and leaves the stack when it stops.
 
 Objectives are supplied as batched functions w(Z) acting on subnormalized
 member columns z (|z|^2 = weight) and returning the *weighted* member value
@@ -86,7 +86,7 @@ class RoofResult:
     stop_reason: str  # of the best restart; see _descend
     restart_values: tuple  # final value of each restart, in restart order
     restart_reasons: tuple  # stop reason of each restart, in restart order
-    value_evals: int  # objective values evaluated, summed over restarts
+    value_evals: int  # every trial value evaluated, summed over restarts; see _descend
     grad_evals: int  # gradients evaluated, summed over restarts
     grad_norm: float  # projected-gradient norm of the best restart at its final point
 
@@ -101,14 +101,22 @@ class RoofResult:
 def stiefel_retract(V):
     """QR retraction of an (L, r) matrix, or of a stack (..., L, r), onto St(L, r)."""
     Q, R = np.linalg.qr(V)
-    sg = np.sign(np.diagonal(R, axis1=-2, axis2=-1).real)
-    sg[sg == 0] = 1.0
+    sg = np.where(np.diagonal(R, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)
     return Q * sg[..., None, :]
 
 
 def _projected(V, G):
     """Projection of Euclidean gradients G onto the tangent spaces of St(L, r) at V."""
     return G - V @ ((V.conj().mT @ G + G.conj().mT @ V) / 2.0)
+
+
+# Armijo trial j takes the step step * 2^-j, j < 45; the trials are tried in
+# stacked batches of these sizes, each one retraction and one value call.
+_TRIAL_BATCHES = (2, 4, 8, 16, 15)
+_HALVINGS = np.ldexp(1.0, -np.arange(sum(_TRIAL_BATCHES)))
+# Stop codes of the running restarts (0: still descending), named on stopping.
+_GRADIENT, _ARMIJO, _STALL = 1, 2, 3
+_STOP_NAMES = np.array(["", "gradient", "armijo", "stall"], dtype=object)
 
 
 def _descend(value_fn, grad_fn, V0, cfg):
@@ -118,17 +126,21 @@ def _descend(value_fn, grad_fn, V0, cfg):
     its n values and grad_fn to its (n, L, r) Euclidean gradients.  Every
     restart keeps its own step, stall count and stop reason, and a restart
     that stops leaves the stack, so each follows the trajectory it would
-    follow alone.  The reason is "gradient" when the projected gradient met
-    the tolerance, "armijo" when 45 backtracking trials found no decrease,
-    "stall" after stall_iters steps that each gained at most the tolerance,
-    and "max_iters" when the iterations ran out.
+    follow alone.  An iteration's 45 backtracking trials are evaluated in the
+    batches of _TRIAL_BATCHES, stacked over the restarts still searching, and
+    each restart takes its first trial that decreases enough: the one a
+    one-at-a-time search stops at.  The reason is "gradient" when the
+    projected gradient met the tolerance, "armijo" when no trial found a
+    decrease, "stall" after stall_iters steps that each gained at most the
+    tolerance, and "max_iters" when the iterations ran out.
 
     Returns per-restart (V, F, iterations, reasons) and the numbers of values
-    and gradients evaluated, summed over restarts.
+    and gradients evaluated, summed over restarts; the value count includes
+    the trials a batch evaluated past the accepted one.
     """
     V = np.array(V0, dtype=complex)
     F = value_fn(V)
-    R = V.shape[0]
+    R, L, r = V.shape
     V_end, F_end = np.empty_like(V), np.empty_like(F)
     its = np.full(R, cfg.max_iters)
     reasons = np.full(R, "max_iters", dtype=object)
@@ -141,29 +153,40 @@ def _descend(value_fn, grad_fn, V0, cfg):
         n_grads += rows.size
         g2 = np.sum(np.abs(P) ** 2, axis=(1, 2))
         scale = np.maximum(1.0, np.abs(F))
-        reason = np.where(g2 <= (cfg.tol * scale) ** 2, "gradient", "")
-        Vn, Fn = V.copy(), F.copy()
-        pend = np.flatnonzero(reason == "")
-        for _ in range(45):
+        code = np.where(g2 <= (cfg.tol * scale) ** 2, _GRADIENT, 0)
+        Fn = F.copy()
+        pend = np.flatnonzero(code == 0)
+        j = 0
+        for b in _TRIAL_BATCHES:
             if pend.size == 0:
                 break
-            Vt = stiefel_retract(V[pend] - step[pend, None, None] * P[pend])
+            if pend.size == rows.size:  # every restart searches: no gather
+                Vp, Pp, Fp, sp, gp = V, P, F, step, g2
+            else:
+                Vp, Pp, Fp, sp, gp = V[pend], P[pend], F[pend], step[pend], g2[pend]
+            s = sp[:, None] * _HALVINGS[j : j + b]  # (searching, b) trial steps
+            j += b
+            Vt = stiefel_retract((Vp[:, None] - s[..., None, None] * Pp[:, None]).reshape(-1, L, r))
             Ft = value_fn(Vt)
-            n_values += pend.size
-            ok = Ft <= F[pend] - 1e-4 * step[pend] * g2[pend]
-            Vn[pend[ok]], Fn[pend[ok]] = Vt[ok], Ft[ok]
-            pend = pend[~ok]
-            step[pend] /= 2.0
+            n_values += Ft.size
+            ok = Ft.reshape(-1, b) <= Fp[:, None] - 1e-4 * s * gp[:, None]
+            pick = ok.argmax(axis=1) + np.arange(0, Ft.size, b)  # first passing trial, or trial 0
+            passed = ok.ravel()[pick]
+            if passed.all():
+                done, pend = pend, pend[:0]
+            else:
+                pick, done, pend = pick[passed], pend[passed], pend[~passed]
+            V[done], Fn[done], step[done] = Vt[pick], Ft[pick], s.ravel()[pick]
         # no decrease along the projected gradient: at the noise floor
-        reason[pend] = "armijo"
+        code[pend] = _ARMIJO
         stall = np.where(F - Fn <= cfg.tol * scale, stall + 1, 0)
-        reason[(reason == "") & (stall >= cfg.stall_iters)] = "stall"
-        V, F, step = Vn, Fn, np.minimum(step * 2.0, 4.0)
-        end = reason != ""
+        F, step = Fn, np.minimum(step * 2.0, 4.0)
+        end = (code != 0) | (stall >= cfg.stall_iters)
         if end.any():
+            code[end & (code == 0)] = _STALL
             done = rows[end]
             V_end[done], F_end[done], its[done] = V[end], F[end], it
-            reasons[done] = reason[end].tolist()
+            reasons[done] = _STOP_NAMES[code[end]]
             keep = ~end
             V, F, step, stall, rows = V[keep], F[keep], step[keep], stall[keep], rows[keep]
             if rows.size == 0:

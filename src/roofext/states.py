@@ -147,7 +147,7 @@ def validate_pure(vector):
     nrm = float(np.linalg.norm(psi))
     if nrm < 1e-12:
         raise ZeroState("cannot normalize the zero vector")
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise NotIsometry(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {NORM_TOL:.1e}")
     return psi
 

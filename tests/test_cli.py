@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,19 @@ def test_measure_nan_state_exits_4(tmp_path, capsys):
     assert main(["measure", "--state", str(p), "--quantity", "ed"]) == 4
     err = capsys.readouterr().err
     assert "NotHermitian" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--objective", "theta-form"], ["decompose", "--method", "flat-convex"]]
+)
+def test_nan_theta_exits_4(bell_file, tmp_path, capsys, command):
+    p = tmp_path / "nan_theta.json"
+    theta = np.eye(4)
+    theta[0, 3] = theta[3, 0] = float("nan")
+    p.write_text(json.dumps({"matrix": np.stack([theta, 0.0 * theta], axis=-1).tolist()}))
+    assert main(command + ["--state", bell_file, "--theta", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert "NotSymmetric" in err and "Traceback" not in err
 
 
 def test_sweep_axial_csv(qubit_file, tmp_path, capsys):
@@ -291,6 +305,50 @@ def test_decompose_length_two_output_is_pinned(tmp_path, capsys):
             out += capsys.readouterr().out
     pinned = (Path(__file__).parent / "data" / "decompose_length_two.txt").read_text()
     assert out == pinned
+
+
+def _solve_pinned_argvs(tmp_path):
+    """`solve` command lines of tests/data/solve_pinned.txt, with their input files."""
+
+    def write(name, payload):
+        p = tmp_path / name
+        p.write_text(dumps(payload))
+        return str(p)
+
+    g = np.random.default_rng(11)
+    M = g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3))
+    two_qubit = write("rho4.json", state_to_json(random_density(4, rank=3, seed=5)))
+    qutrit = write("rho3.json", state_to_json(random_density(3, seed=6)))
+    qubit = write("rho2.json", state_to_json(random_density(2, seed=7)))
+    theta = write("theta3.json", {"matrix": np.stack([(M + M.T).real, (M + M.T).imag], axis=-1).tolist()})
+    kraus3 = write("kraus3.json", map_to_json(_kraus_channel(3, 3)))
+    axial = write("axial.json", map_to_json(axial_map(0.35, 0.4 * axial_beta_max(0.35, 0.8), 0.8)))
+    flags = ["--restarts", "4", "--max-iters", "300", "--seed", "2"]
+    return [
+        ["solve", "--state", two_qubit, "--objective", "theta-form", *flags],
+        ["solve", "--state", qutrit, "--objective", "theta-form", "--mode", "max", "--theta", theta, *flags],
+        ["solve", "--state", qubit, "--objective", "diag-entropy", *flags],
+        ["solve", "--state", qubit, "--objective", "sqrt-det-out", "--map", kraus3, *flags],
+        ["solve", "--state", qubit, "--objective", "entropy-out", "--map", axial, *flags],
+    ]
+
+
+def _json_documents(text):
+    return [json.loads(doc) for doc in re.split(r"(?m)^(?=\{)", text) if doc]
+
+
+def test_solve_output_is_pinned(tmp_path, capsys):
+    # every field but value_evals, which counts each batch's trials past the accepted one
+    out = ""
+    for argv in _solve_pinned_argvs(tmp_path):
+        assert main(argv) == 0
+        out += capsys.readouterr().out
+    pinned = (Path(__file__).parent / "data" / "solve_pinned.txt").read_text()
+    runs, pinned_runs = _json_documents(out), _json_documents(pinned)
+    assert len(runs) == len(pinned_runs) == 5
+    for run, ref in zip(runs, pinned_runs):
+        assert run.pop("value_evals") >= ref.pop("value_evals")
+        assert run == ref
 
 
 def test_h0_experiment_d2(capsys):

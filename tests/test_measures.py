@@ -11,6 +11,7 @@ from roofext import (
     axial_map,
     axial_tangle,
     bell_state,
+    check_symmetric,
     channel_entanglement,
     channel_tangle,
     concurrence_2qubit,
@@ -31,8 +32,10 @@ from roofext import (
     random_pure,
     shannon_entropy,
     spectrum,
+    two_kraus_seminorm,
     von_neumann_entropy,
     validate_density,
+    validate_pure,
     werner_state,
     xi,
 )
@@ -220,6 +223,10 @@ NAN_INPUTS = {
     "kraus_map": lambda: kraus_map([np.diag([1.0, NAN])]),
     "axial_map": lambda: axial_map(0.5, NAN, 0.5),
     "affine_map": lambda: affine_map(np.diag([1.0, NAN, 1.0, 1.0])),
+    "check_symmetric": lambda: check_symmetric(np.diag([NAN, 1.0])),
+    "validate_pure": lambda: validate_pure([NAN, 1.0]),
+    "two_kraus_seminorm": lambda: two_kraus_seminorm(np.diag([NAN, 1.0]), np.zeros((2, 2)), np.eye(2)),
+    "shannon_entropy": lambda: shannon_entropy([NAN, 0.5]),
 }
 
 

@@ -23,6 +23,7 @@ from roofext import (
     werner_state,
     wootters_conjugation,
 )
+from roofext import solver
 from roofext.diagonal import diag_entropy, ed_qubit
 from roofext.measures import partial_trace_kraus, von_neumann_entropy
 from roofext.qubitmaps import apply_map, dephased_amplitude_damping
@@ -301,3 +302,18 @@ def test_early_stop_reports_its_projected_gradient():
     res = minimize_roof(diag_entropy_objective(), random_density(2, seed=3), cfg)
     assert res.stop_reason == "max_iters"
     assert res.grad_norm > cfg.tol * max(1.0, abs(res.value))
+
+
+def test_armijo_search_is_at_most_five_retractions(monkeypatch):
+    # each iteration's 45 backtracking trials run as five stacked batches; a
+    # restart that stops on armijo searches through all of them
+    log = []
+    retract, projected = solver.stiefel_retract, solver._projected
+    monkeypatch.setattr(solver, "stiefel_retract", lambda V: log.append("R") or retract(V))
+    monkeypatch.setattr(solver, "_projected", lambda V, G: log.append("P") or projected(V, G))
+    cfg = SolverConfig(members=4, restarts=2, max_iters=400, tol=0.0, seed=0)
+    res = minimize_roof(diag_entropy_objective(), random_density(2, seed=3), cfg)
+    assert "armijo" in res.restart_reasons
+    # one "P" per lockstep iteration, then one for the final gradient norm
+    per_iteration = [chunk.count("R") for chunk in "".join(log).split("P")[1:-1]]
+    assert max(per_iteration) == 5
