@@ -34,8 +34,11 @@ BRACKET_TOL = 1e-12
 
 
 def shannon_entropy(p):
-    h = float(np.sum(eta(np.asarray(p, dtype=float))))
-    if not math.isfinite(h):  # a NaN, infinite or negative probability
+    p = np.asarray(p, dtype=float)
+    if p.size and not p.min() >= 0.0:  # NaN fails too, before the log can warn
+        raise OutOfRange(f"entropy needs nonnegative probabilities, got min {p.min()}")
+    h = float(np.sum(eta(p)))
+    if not math.isfinite(h):  # an infinite probability
         raise OutOfRange(f"entropy of {p} is non-finite")
     return h
 

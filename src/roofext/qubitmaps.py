@@ -202,6 +202,8 @@ def dephased_amplitude_damping(gamma):
 
 def amplitude_damping(p):
     """Standard decay channel with excited-state survival 1-p (sits on the positivity edge)."""
+    if not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"damping probability must lie in [0,1], got {p}")
     return axial_map(1.0, float(np.sqrt(1.0 - p)), 1.0 - p)
 
 

@@ -26,6 +26,7 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the batched LAPACK QR kernels behind np.linalg.qr
 
 from .errors import ConfigError
 from .states import (
@@ -100,8 +101,9 @@ class RoofResult:
 
 def stiefel_retract(V):
     """QR retraction of an (L, r) matrix, or of a stack (..., L, r), onto St(L, r)."""
-    Q, R = np.linalg.qr(V)
-    sg = np.where(np.diagonal(R, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)
+    A = np.array(V, dtype=complex)  # zgeqrf leaves R on and above the diagonal of A
+    Q = _umath_linalg.qr_reduced(A, _umath_linalg.qr_r_raw(A, signature="D->D"), signature="DD->D")
+    sg = np.where(np.diagonal(A, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)
     return Q * sg[..., None, :]
 
 
@@ -111,8 +113,9 @@ def _projected(V, G):
 
 
 # Armijo trial j takes the step step * 2^-j, j < 45; the trials are tried in
-# stacked batches of these sizes, each one retraction and one value call.
-_TRIAL_BATCHES = (2, 4, 8, 16, 15)
+# stacked batches of these sizes, each one retraction and one value call (any
+# partition accepts the same trial; fewer batches mean fewer retraction calls).
+_TRIAL_BATCHES = (3, 6, 12, 24)
 _HALVINGS = np.ldexp(1.0, -np.arange(sum(_TRIAL_BATCHES)))
 # Stop codes of the running restarts (0: still descending), named on stopping.
 _GRADIENT, _ARMIJO, _STALL = 1, 2, 3
@@ -378,11 +381,11 @@ def sqrt_det_output_objective(kraus=None, bloch=None):
 
     def batch(Z):
         _, det = _output_stats(S, Z)
-        return np.sqrt(np.clip(det, 0.0, None))
+        return np.sqrt(np.maximum(det, 0.0))
 
     def grad(Z):
         _, det, _, ddet = _output_stats(S, Z, grad=True)
-        root = np.sqrt(np.clip(det, 0.0, None))
+        root = np.sqrt(np.maximum(det, 0.0))
         return np.divide(ddet, root, out=np.zeros_like(ddet), where=root > 0)
 
     return RoofObjective("sqrt-det-output", batch, grad)
@@ -418,8 +421,8 @@ def output_entropy_objective(kraus=None, bloch=None):
     S = _output_forms(kraus, bloch)
 
     def eigs(p, det):
-        s = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-        return s, np.clip((p + s) / 2.0, 0.0, None), np.clip((p - s) / 2.0, 0.0, None)
+        s = np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))
+        return s, np.maximum((p + s) / 2.0, 0.0), np.maximum((p - s) / 2.0, 0.0)
 
     def batch(Z):
         p, det = _output_stats(S, Z)

@@ -27,6 +27,7 @@ from .errors import (
     NotHermitian,
     NotIsometry,
     NotPSD,
+    OutOfRange,
     OutsideBall,
     TraceNotOne,
     ZeroState,
@@ -186,13 +187,14 @@ class PureDecomposition:
             raise DimMismatch("members live in different dimensions")
         if len(weights) > dim * dim:
             raise DimMismatch(f"length {len(weights)} exceeds dim^2 = {dim * dim}")
-        if min(weights) < -1e-12:
-            raise NotPSD(f"negative decomposition weight {min(weights):.3e}")
+        w_min = float(np.min(weights))  # NaN if any weight is; NaN fails every check
+        if not w_min >= -1e-12:
+            raise NotPSD(f"negative decomposition weight {w_min:.3e}")
         total_dev = abs(sum(weights) - 1.0)
-        if total_dev > 1e-10:
+        if not total_dev <= 1e-10:
             raise TraceNotOne(f"|sum p - 1| = {total_dev:.3e} > 1e-10")
         norm_dev = float(np.abs(np.linalg.norm(np.array(states), axis=1) - 1.0).max())
-        if norm_dev > 1e-10:
+        if not norm_dev <= 1e-10:
             raise NotIsometry(f"member norm deviation {norm_dev:.3e} > 1e-10")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
@@ -356,6 +358,8 @@ def product_pure(psi_a, psi_b):
 
 
 def werner_state(p):
-    """p * singlet + (1-p) * I/4 on two qubits."""
+    """p * singlet + (1-p) * I/4 on two qubits; a state for -1/3 <= p <= 1."""
+    if not -1.0 / 3.0 <= p <= 1.0:
+        raise OutOfRange(f"Werner parameter must lie in [-1/3, 1], got {p}")
     singlet = pure_projector(bell_state("psi-"))
     return p * singlet + (1.0 - p) * maximally_mixed(4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,14 @@ def test_entropies():
     assert shannon_entropy([1.0, 0.0]) == 0.0
     assert von_neumann_entropy(maximally_mixed(4)) == pytest.approx(np.log(4.0), abs=1e-12)
     assert von_neumann_entropy(pure_projector(bell_state("phi+"))) < 1e-12
+    assert shannon_entropy([]) == 0.0
+
+
+def test_negative_probability_raises_before_the_log_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="nonnegative"):
+            shannon_entropy([-0.1, 1.1])
 
 
 def test_concurrence_anchors():

@@ -85,6 +85,24 @@ def test_axial_map_matches_kraus_damping():
     np.testing.assert_allclose(apply_map(T_kraus, rho), apply_map(T_axial, rho), atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [2.0, -0.1, float("nan")])
+def test_amplitude_damping_rejects_p_before_the_sqrt_warns(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="damping probability"):
+            amplitude_damping(p)
+
+
+def test_affine_map_rejects_a_prebuilt_infinite_matrix_without_warning():
+    # inf * eye(4) warns while it is built (inf * 0); affine_map itself does not
+    m = np.eye(4)
+    m[1, 1] = m[2, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="2 non-finite entries"):
+            affine_map(m)
+
+
 def test_kraus_map_requires_trace_preservation():
     with pytest.raises(NotTracePreserving):
         kraus_map([np.eye(2) * 0.9])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,32 @@ def test_stiefel_retract_stack_matches_slices(rng):
         np.testing.assert_array_equal(stacked[i], stiefel_retract(G[i]))
 
 
+def _qr_retract(V):
+    """The retraction as np.linalg.qr gives it: Q with its columns signed by diag(R)."""
+    Q, R = np.linalg.qr(V)
+    return Q * np.where(np.diagonal(R, axis1=-2, axis2=-1).real < 0.0, -1.0, 1.0)[..., None, :]
+
+
+def test_stiefel_retract_is_numpy_qr_bit_for_bit(rng):
+    shapes = [(0, 6, 3), (1, 6, 3), (64, 8, 4), (7, 3)]
+    shapes += [(3, L, r) for r in range(1, 5) for L in range(r, 17)]
+    for shape in shapes:
+        G = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        G_in = G.copy()
+        V = stiefel_retract(G)
+        assert np.array_equal(G, G_in), "the LAPACK kernels overwrite their input; V is copied first"
+        assert V.shape == shape and np.array_equal(V, _qr_retract(G)), shape
+
+
+def test_stiefel_retract_of_nan_is_nan_without_warning():
+    G = np.full((2, 4, 2), np.nan + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V = stiefel_retract(G)
+    assert np.isnan(V).all()
+    assert np.isnan(_qr_retract(G)).all()
+
+
 def _closures(objective, omega):
     sp = spectrum(omega)
     return _roof_closures(objective, sp.factor[:, : sp.rank], 1e-6), sp.rank
@@ -82,9 +110,7 @@ def _serial_descend(value_fn, grad_fn, V, cfg):
 
 
 DESCENT_CFG = SolverConfig(max_iters=300, stall_iters=30)
-
-
-@pytest.mark.parametrize(
+DESCENT_CASES = pytest.mark.parametrize(
     "objective, dim, rank, members",
     [
         (theta_form_objective(wootters_conjugation() / 2.0), 4, 3, 6),
@@ -93,6 +119,9 @@ DESCENT_CFG = SolverConfig(max_iters=300, stall_iters=30)
     ],
     ids=["theta-form", "sqrt-det-kraus", "diag-entropy"],
 )
+
+
+@DESCENT_CASES
 def test_restart_does_not_depend_on_its_stack(rng, objective, dim, rank, members):
     (value_fn, grad_fn), r = _closures(objective, random_density(dim, rank=rank, seed=rng))
     V0 = _random_stack(rng, 6, members, r)
@@ -104,6 +133,19 @@ def test_restart_does_not_depend_on_its_stack(rng, objective, dim, rank, members
         F_ref, its_ref, reason_ref = _serial_descend(value_fn, grad_fn, V0[i], DESCENT_CFG)
         assert abs(F_ref - F[i]) <= 1e-10
         assert (its_ref, reason_ref) == (its[i], reasons[i])
+
+
+@DESCENT_CASES
+@pytest.mark.parametrize("batches", [(2, 4, 8, 16, 15), (1,) * 45])
+def test_trial_partition_does_not_change_the_descent(rng, monkeypatch, objective, dim, rank, members, batches):
+    # each restart takes its first passing trial, whichever batch holds it
+    (value_fn, grad_fn), r = _closures(objective, random_density(dim, rank=rank, seed=rng))
+    V0 = _random_stack(rng, 6, members, r)
+    V, F, its, reasons, _, _ = _descend(value_fn, grad_fn, V0, DESCENT_CFG)
+    monkeypatch.setattr(solver, "_TRIAL_BATCHES", batches)
+    V_b, F_b, its_b, reasons_b, _, _ = _descend(value_fn, grad_fn, V0, DESCENT_CFG)
+    assert np.array_equal(V_b, V) and np.array_equal(F_b, F)
+    assert np.array_equal(its_b, its) and list(reasons_b) == list(reasons)
 
 
 def test_converged_restart_leaves_the_stack_early(rng):
@@ -305,8 +347,8 @@ def test_early_stop_reports_its_projected_gradient():
 
 
 def test_armijo_search_is_at_most_five_retractions(monkeypatch):
-    # each iteration's 45 backtracking trials run as five stacked batches; a
-    # restart that stops on armijo searches through all of them
+    # each iteration's 45 backtracking trials run as the stacked batches of
+    # _TRIAL_BATCHES; a restart that stops on armijo searches through all of them
     log = []
     retract, projected = solver.stiefel_retract, solver._projected
     monkeypatch.setattr(solver, "stiefel_retract", lambda V: log.append("R") or retract(V))
@@ -316,4 +358,4 @@ def test_armijo_search_is_at_most_five_retractions(monkeypatch):
     assert "armijo" in res.restart_reasons
     # one "P" per lockstep iteration, then one for the final gradient norm
     per_iteration = [chunk.count("R") for chunk in "".join(log).split("P")[1:-1]]
-    assert max(per_iteration) == 5
+    assert max(per_iteration) == len(solver._TRIAL_BATCHES) == 4

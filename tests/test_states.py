@@ -15,6 +15,7 @@ from roofext import (
     NotHermitian,
     NotIsometry,
     NotPSD,
+    OutOfRange,
     OutsideBall,
     PureDecomposition,
     TraceNotOne,
@@ -139,6 +140,20 @@ def test_pure_decomposition_reports_the_worst_member_norm(rng):
         PureDecomposition((0.2, 0.3, 0.5), (psi, (1.0 + 1e-9) * psi, (1.0 - 1e-6) * psi))
 
 
+@pytest.mark.parametrize(
+    "weights, second, error",
+    [
+        ((math.nan, 1.0), [0.0, 1.0], NotPSD),
+        ((1.0, math.nan), [0.0, 1.0], NotPSD),
+        ((0.5, 0.5), [math.nan, 0.0], NotIsometry),
+    ],
+    ids=["nan-weight-first", "nan-weight-last", "nan-member"],
+)
+def test_pure_decomposition_rejects_nan(weights, second, error):
+    with pytest.raises(error, match="nan"):
+        PureDecomposition(weights, ([1.0, 0.0], second))
+
+
 def test_decomposition_from_isometry(rng):
     rho = random_density(3, rank=2, seed=rng)
     G = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
@@ -179,6 +194,13 @@ def test_werner_family():
     np.testing.assert_allclose(werner_state(0.0), maximally_mixed(4), atol=1e-15)
     w = werner_state(1.0)
     np.testing.assert_allclose(w, pure_projector(bell_state("psi-")), atol=1e-14)
+    assert np.linalg.eigvalsh(werner_state(-1.0 / 3.0))[0] > -1e-15
+
+
+@pytest.mark.parametrize("p", [2.0, -0.5, math.nan])
+def test_werner_state_rejects_a_parameter_that_is_not_a_state(p):
+    with pytest.raises(OutOfRange, match=r"\[-1/3, 1\]"):
+        werner_state(p)
 
 
 def test_random_generators_are_seeded():
