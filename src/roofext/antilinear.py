@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DimMismatch,
     NotSymmetric,
+    OutOfRange,
     RoofextError,
     ShapeMismatch,
     UnsupportedOrder,
@@ -77,7 +78,10 @@ def transport_theta(theta, unitary):
     conjugation transposes rather than daggers because of the anti-linearity).
     """
     U = np.asarray(unitary, dtype=complex)
-    return U @ np.asarray(theta, dtype=complex) @ U.T
+    A = np.asarray(theta, dtype=complex)
+    if not (np.isfinite(U).all() and np.isfinite(A).all()):
+        raise OutOfRange("theta or unitary has non-finite entries")
+    return U @ A @ U.T
 
 
 def theta_from_kraus_pair(a1, a2):
@@ -95,6 +99,8 @@ def theta_from_kraus_pair(a1, a2):
         raise ShapeMismatch(
             f"need two 2 x d Kraus operators of equal shape, got {A1.shape} and {A2.shape}"
         )
+    if not (np.isfinite(A1).all() and np.isfinite(A2).all()):
+        raise OutOfRange("Kraus pair has non-finite entries")
     F = spin_flip()
     M = (A1.conj().T @ F @ A2.conj() - A2.conj().T @ F @ A1.conj()) / 2.0
     return (M + M.T) / 2.0

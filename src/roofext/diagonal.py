@@ -118,7 +118,7 @@ class EmbeddingSpec:
             if y.size != m:
                 raise DimMismatch(f"row {j} has {y.size} amplitudes for block size {m}")
             dev = abs(float(np.linalg.norm(y)) - 1.0)
-            if dev > 1e-12:
+            if not dev <= 1e-12:  # NaN fails every check
                 raise NotIsometry(f"row {j} norm deviates from 1 by {dev:.3e}")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "amplitudes", amps)
@@ -202,7 +202,7 @@ def h0_min_entropy_experiment(d, config=None):
         lambda Z: eta(np.abs(Z) ** 2).sum(axis=0),
         lambda Z: -2.0 * (np.log(np.abs(Z) ** 2 + _TINY) + 1.0) * Z,
     )
-    value_fn, grad_fn = _roof_closures(entropy, N, cfg.fd_step)
+    value_fn, grad_fn = _roof_closures(entropy, N)
     # a point a of St(d-1, 1) is the one-member row a^T of a roof over N
     flip = lambda V: V.mT  # noqa: E731
     a0 = N.conj().T @ cand[:, None]

@@ -39,6 +39,8 @@ from .states import (
     spectrum,
 )
 
+FD_STEP = 1e-6  # central-difference step for objectives without a gradient
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
@@ -47,7 +49,6 @@ class SolverConfig:
     max_iters: int = 2000
     tol: float = 1e-10
     seed: int = 0
-    fd_step: float = 1e-6
     stall_iters: int = 50
 
     def __post_init__(self):
@@ -56,7 +57,6 @@ class SolverConfig:
             ("max_iters", self.max_iters >= 1, ">= 1"),
             ("stall_iters", self.stall_iters >= 1, ">= 1"),
             ("tol", self.tol >= 0.0, ">= 0"),
-            ("fd_step", self.fd_step > 0.0, "> 0"),
         ):
             if not ok:
                 raise ConfigError(f"{field} must be {need}, got {getattr(self, field)!r}")
@@ -69,7 +69,7 @@ class RoofObjective:
     grad, if given, maps the (d, n) member columns Z to the (d, n) complex
     gradients dw/dRe z + i dw/dIm z = 2 dw/dconj(z), one column per member;
     it must be finite everywhere, kinks included.  Without it the solver
-    takes central differences of batch with step SolverConfig.fd_step.
+    takes central differences of batch with step FD_STEP.
     """
 
     name: str
@@ -211,7 +211,7 @@ def _multistart(value_fn, grad_fn, first, cfg):
     return _descend(value_fn, grad_fn, V0, cfg)
 
 
-def _roof_closures(objective, K, fd_step):
+def _roof_closures(objective, K):
     """Stacked value and gradient of sum_k w(K V[k]^T) over (n, L, r) stacks.
 
     Member k of a restart depends only on row k of its V, so dF/dV[k] is
@@ -240,7 +240,7 @@ def _roof_closures(objective, K, fd_step):
         n, L = V.shape[:2]
         Zrep = np.repeat(members(V), r, axis=1)  # column (i*L + k)*r + j is member k of restart i
         Kt = np.tile(K, (1, n * L))  # column (i*L + k)*r + j is K[:, j]
-        h = fd_step
+        h = FD_STEP
         wp = objective.batch(Zrep + h * Kt)
         wm = objective.batch(Zrep - h * Kt)
         wip = objective.batch(Zrep + 1j * h * Kt)
@@ -263,7 +263,7 @@ def minimize_roof(objective, omega, config=None):
         raise ConfigError(f"members={L} is below the state rank {r}")
     if L > d * d:
         raise ConfigError(f"members={L} exceeds the Caratheodory bound {d * d}")
-    value_fn, grad_fn = _roof_closures(objective, K, cfg.fd_step)
+    value_fn, grad_fn = _roof_closures(objective, K)
     V, F, its, reasons, n_values, n_grads = _multistart(
         value_fn, grad_fn, np.eye(L, r, dtype=complex), cfg
     )

@@ -155,6 +155,8 @@ def validate_pure(vector):
 
 def pure_projector(psi):
     psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if not np.isfinite(psi).all():
+        raise OutOfRange("pure state has non-finite amplitudes")
     return np.outer(psi, psi.conj())
 
 
@@ -251,6 +253,8 @@ def decomposition_from_isometry(omega, isometry):
 
 def random_pure(dim, seed=None):
     """Haar-random pure state (normalized complex Gaussian)."""
+    if dim < 1:
+        raise DimMismatch(f"dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -272,6 +276,8 @@ def random_density(dim, rank=None, seed=None):
 
 
 def random_unitary(dim, seed=None):
+    if dim < 1:
+        raise DimMismatch(f"dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     Q, R = np.linalg.qr(G)
@@ -300,7 +306,7 @@ def bloch_to_qubit(x):
     if x.size != 3:
         raise DimMismatch(f"Bloch vector needs 3 components, got {x.size}")
     r = float(np.linalg.norm(x))
-    if r > 1.0 + 1e-12:
+    if not r <= 1.0 + 1e-12:  # NaN fails every check
         raise OutsideBall(f"|x| = {r:.12f} > 1")
     return (SIGMA_0 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
 
@@ -335,6 +341,8 @@ def bloch_chord(x, direction):
 # Stock states used all over the tests and the CLI examples.
 
 def maximally_mixed(dim):
+    if dim < 1:
+        raise DimMismatch(f"dimension must be >= 1, got {dim}")
     return np.eye(dim, dtype=complex) / dim
 
 

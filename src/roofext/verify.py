@@ -2,7 +2,12 @@
 
 A property is a generator over (rng, trials).  It yields each check as a pair
 (ok, note), the note printed only when the check fails, and each note that
-always prints as a plain str, in print order; `run_suites` tallies them.  The
+always prints as a plain str, in print order; `run_suites` tallies them.  A
+check that holds a deviation to a tolerance is built by `_within(label,
+name=(deviation, tolerance), ...)`: it passes when every deviation is at most
+its tolerance, so a NaN deviation fails, and its note reads
+"label: name <deviation> (tol <tolerance>), ...".  A one-sided bound enters
+as a signed deviation (lhs >= rhs - tol is rhs - lhs within tol).  The
 SUITES table states each property's name, suite and heaviness once, and its
 order fixes the seeds: each property draws its own random data from
 SeedSequence(seed, spawn_key=(suite_index, property_index)), so results are
@@ -18,12 +23,25 @@ import sys
 import numpy as np
 
 from . import antilinear, diagonal, measures, qubitmaps, solver, states
+from .errors import OutOfRange
 
 SUITE_ORDER = ("wootters", "subtraction", "diagonal", "bounds")
 
 
 def _fmt(x):
     return f"{float(x):.12g}"
+
+
+def _sup(x):
+    """Largest entry modulus of an array."""
+    return float(np.max(np.abs(x)))
+
+
+def _within(label, **named):
+    """(ok, note) of one check; each keyword is a (deviation, tolerance) pair."""
+    ok = all(dev <= tol for dev, tol in named.values())  # NaN fails
+    parts = (f"{name} {_fmt(dev)} (tol {_fmt(tol)})" for name, (dev, tol) in named.items())
+    return ok, f"{label}: {', '.join(parts)}"
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +61,13 @@ def _rand_axial(rng, margin=0.999):
     if rng.uniform() < 0.5:
         b = -b
     return qubitmaps.axial_map(a, b, g)
+
+
+def _rand_subtracted_form(rng):
+    """q_T - w q_det of a random axial map T at its subtraction weight w."""
+    T = _rand_axial(rng)
+    q_t, q_det = qubitmaps.det_T_form(T)
+    return q_t - qubitmaps.subtraction_weight(T).w * q_det
 
 
 def _rand_standard_two_kraus(rng):
@@ -95,21 +120,19 @@ def prop_flip_matrix_identity(rng, trials):
         Y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         lhs = F @ Y.T @ F @ Y
         rhs = -np.linalg.det(Y) * np.eye(2)
-        dev = float(np.max(np.abs(lhs - rhs)))
         tol = 1e-12 * max(1.0, abs(np.linalg.det(Y)))
-        yield dev <= tol, f"trial {t}: flip identity deviation {_fmt(dev)}"
+        yield _within(f"trial {t}", flip_identity=(_sup(lhs - rhs), tol))
 
 
 def prop_conjugation_fixed_points(rng, trials):
     W = antilinear.wootters_conjugation()
     e = np.eye(4)
-    yield np.max(np.abs(W @ W.conj() - np.eye(4))) <= 1e-15, "W conj(W) != identity"
-    yield np.max(np.abs(W @ e[:, 0] - e[:, 3])) <= 1e-15, "W|00> != |11>"
-    yield np.max(np.abs(W @ e[:, 1] + e[:, 2])) <= 1e-15, "W|01> != -|10>"
+    yield _within("W conj(W) = 1", dev=(_sup(W @ W.conj() - np.eye(4)), 1e-15))
+    yield _within("W|00> = |11>", dev=(_sup(W @ e[:, 0] - e[:, 3]), 1e-15))
+    yield _within("W|01> = -|10>", dev=(_sup(W @ e[:, 1] + e[:, 2]), 1e-15))
     for kind in ("phi+", "phi-", "psi+", "psi-"):
-        psi = states.bell_state(kind)
-        val = antilinear.theta_expectation(W, psi)
-        yield abs(abs(val) - 1.0) <= 1e-12, f"|<{kind}, theta {kind}>| != 1: {_fmt(abs(val))}"
+        val = antilinear.theta_expectation(W, states.bell_state(kind))
+        yield _within(f"|<{kind}, theta {kind}>| = 1", dev=(abs(abs(val) - 1.0), 1e-12))
 
 
 def prop_kraus_pair_symmetry(rng, trials):
@@ -121,22 +144,21 @@ def prop_kraus_pair_symmetry(rng, trials):
         A1, A2 = V[:2, :], V[2:, :]
         M = antilinear.theta_from_kraus_pair(A1, A2)
         manual = (A1.conj().T @ F @ A2.conj() - A2.conj().T @ F @ A1.conj()) / 2.0
-        sym_dev = float(np.max(np.abs(M - M.T)))
-        man_dev = float(np.max(np.abs(M - (manual + manual.T) / 2.0)))
-        tp_dev = float(np.max(np.abs(A1.conj().T @ A1 + A2.conj().T @ A2 - np.eye(d))))
-        ok = sym_dev <= 1e-14 and man_dev <= 1e-14 and tp_dev <= 1e-12
-        yield ok, f"trial {t}: sym {_fmt(sym_dev)} manual {_fmt(man_dev)} tp {_fmt(tp_dev)}"
+        yield _within(
+            f"trial {t}",
+            sym=(_sup(M - M.T), 1e-14),
+            manual=(_sup(M - (manual + manual.T) / 2.0), 1e-14),
+            tp=(_sup(A1.conj().T @ A1 + A2.conj().T @ A2 - np.eye(d)), 1e-12),
+        )
 
 
 def prop_trace_pair_normalization(rng, trials):
     W = antilinear.wootters_conjugation()
     a1, a2 = measures.partial_trace_kraus()
     M = antilinear.theta_from_kraus_pair(a1, a2)
-    dev_half = float(np.max(np.abs(M - W / 2.0)))
     Ms = antilinear.theta_from_kraus_pair(a1 / np.sqrt(2.0), a2 / np.sqrt(2.0))
-    dev_quarter = float(np.max(np.abs(Ms - W / 4.0)))
-    yield dev_half <= 1e-15, f"partial-trace pair theta != flip/2 (dev {_fmt(dev_half)})"
-    yield dev_quarter <= 1e-15, f"subnormalized pair theta != flip/4 (dev {_fmt(dev_quarter)})"
+    yield _within("partial-trace pair theta = flip/2", dev=(_sup(M - W / 2.0), 1e-15))
+    yield _within("subnormalized pair theta = flip/4", dev=(_sup(Ms - W / 4.0), 1e-15))
 
 
 def prop_theta_transport(rng, trials):
@@ -149,8 +171,7 @@ def prop_theta_transport(rng, trials):
         lam2 = antilinear.lambda_spectrum(
             antilinear.transport_theta(A, U), U @ omega @ U.conj().T
         )
-        dev = float(np.max(np.abs(lam1 - lam2)))
-        yield dev <= 1e-9, f"trial {t}: transported spectrum deviates {_fmt(dev)}"
+        yield _within(f"trial {t}", transported_spectrum=(_sup(lam1 - lam2), 1e-9))
 
 
 def prop_takagi_reconstruct(rng, trials):
@@ -158,30 +179,29 @@ def prop_takagi_reconstruct(rng, trials):
         d = (2, 3, 4, 8)[t % 4]
         B = _rand_symmetric(rng, d) * rng.uniform(0.2, 3.0)
         tak = antilinear.takagi(B)
-        rec = float(np.max(np.abs(tak.reconstruct() - (B + B.T) / 2.0)))
-        svd = float(np.max(np.abs(tak.lambdas - np.linalg.svd(B, compute_uv=False))))
-        orth = float(np.max(np.abs(tak.basis.conj().T @ tak.basis - np.eye(d))))
-        ok = rec <= 1e-8 and svd <= 1e-10 and orth <= 1e-10
-        yield ok, f"trial {t}: rec {_fmt(rec)} svd {_fmt(svd)} orth {_fmt(orth)}"
+        yield _within(
+            f"trial {t}",
+            rec=(_sup(tak.reconstruct() - (B + B.T) / 2.0), 1e-8),
+            svd=(_sup(tak.lambdas - np.linalg.svd(B, compute_uv=False)), 1e-10),
+            orth=(_sup(tak.basis.conj().T @ tak.basis - np.eye(d)), 1e-10),
+        )
     # fixed degenerate and canonical cases (gauge-invariant checks only: basis
     # columns are fixed up to sign, and within a degenerate cluster up to a
     # real rotation)
     tak = antilinear.takagi(np.array([[2j]]))
-    yield (
-        abs(tak.lambdas[0] - 2.0) <= 1e-12 and abs(tak.basis[0, 0] ** 2 - 1j) <= 1e-12,
-        "takagi([[2i]]) should give lambda 2 and u^2 = i",
+    yield _within(
+        "takagi([[2i]]) = 2 u u^T, u^2 = i",
+        lam=(abs(tak.lambdas[0] - 2.0), 1e-12),
+        u_sq=(abs(tak.basis[0, 0] ** 2 - 1j), 1e-12),
     )
     tak = antilinear.takagi(np.diag([3.0, 1.0]))
-    yield (
-        np.allclose(tak.lambdas, [3.0, 1.0])
-        and float(np.max(np.abs(tak.reconstruct() - np.diag([3.0, 1.0])))) <= 1e-12,
-        "takagi(diag(3,1)) should reconstruct with lambdas (3,1)",
+    yield _within(
+        "takagi(diag(3,1))",
+        lambdas=(_sup(tak.lambdas - [3.0, 1.0]), 1e-12),
+        rec=(_sup(tak.reconstruct() - np.diag([3.0, 1.0])), 1e-12),
     )
     tak = antilinear.takagi(np.eye(4, dtype=complex))
-    yield (
-        float(np.max(np.abs(tak.reconstruct() - np.eye(4)))) <= 1e-10,
-        "takagi(identity) fails on the fully degenerate cluster",
-    )
+    yield _within("takagi(identity)", rec=(_sup(tak.reconstruct() - np.eye(4)), 1e-10))
 
 
 def _flat_contract_check(rng, t, mode):
@@ -190,18 +210,17 @@ def _flat_contract_check(rng, t, mode):
     A = _rand_symmetric(rng, d)
     omega = states.random_density(d, rank=rank, seed=rng)
     dec = antilinear.flat_optimal_decomposition(A, omega, mode=mode)
-    rec = dec.reconstruction_error(omega)
     obj = solver.theta_form_objective(A)
     avg = solver.verify_roof_point(obj, dec)
     _, spread, _ = solver.flatness_check(obj, dec, tol=1e-8)
     convex, concave = antilinear.roof_values(A, omega)
     target = convex if mode == "convex" else concave
-    ok = rec <= 1e-8 and spread <= 1e-8 and abs(avg - target) <= 1e-8
-    note = (
-        f"trial {t} d={d} rank={rank}: rec {_fmt(rec)} spread {_fmt(spread)} "
-        f"avg {_fmt(avg)} target {_fmt(target)}"
+    return _within(
+        f"trial {t} d={d} rank={rank}",
+        rec=(dec.reconstruction_error(omega), 1e-8),
+        spread=(spread, 1e-8),
+        roof=(abs(avg - target), 1e-8),
     )
-    return ok, note
 
 
 def prop_flat_convex_contract(rng, trials):
@@ -226,8 +245,7 @@ def prop_decomposition_sandwich(rng, trials):
         dec = states.decomposition_from_isometry(omega, V)
         avg = solver.verify_roof_point(solver.theta_form_objective(A), dec)
         convex, concave = antilinear.roof_values(A, omega)
-        ok = convex - 1e-10 <= avg <= concave + 1e-10
-        yield ok, f"trial {t}: average {_fmt(avg)} outside [{_fmt(convex)}, {_fmt(concave)}]"
+        yield _within(f"trial {t}", below=(convex - avg, 1e-10), above=(avg - concave, 1e-10))
 
 
 def prop_local_unitary_invariance(rng, trials):
@@ -238,25 +256,25 @@ def prop_local_unitary_invariance(rng, trials):
         UV = np.kron(U, V)
         c1 = measures.concurrence_2qubit(rho).value
         c2 = measures.concurrence_2qubit(UV @ rho @ UV.conj().T).value
-        yield abs(c1 - c2) <= 1e-9, f"trial {t}: concurrence moved {_fmt(c1)} -> {_fmt(c2)}"
+        yield _within(f"trial {t}", concurrence_moved=(abs(c1 - c2), 1e-9))
 
 
 def prop_two_qubit_anchors(rng, trials):
     for kind in ("phi+", "phi-", "psi+", "psi-"):
         c = measures.concurrence_2qubit(states.pure_projector(states.bell_state(kind))).value
-        yield abs(c - 1.0) <= 1e-10, f"C({kind}) = {_fmt(c)} != 1"
+        yield _within(f"C({kind}) = 1", dev=(abs(c - 1.0), 1e-10))
     prod = states.pure_projector(states.product_pure([1.0, 0.0], [0.6, 0.8]))
     c = measures.concurrence_2qubit(prod).value
-    yield abs(c) <= 1e-10, f"C(product) = {_fmt(c)} != 0"
+    yield _within("C(product) = 0", dev=(abs(c), 1e-10))
     for p in np.linspace(0.0, 1.0, 11):
         c = measures.concurrence_2qubit(states.werner_state(p)).value
         target = max(0.0, (3.0 * p - 1.0) / 2.0)
-        yield abs(c - target) <= 1e-10, f"Werner p={_fmt(p)}: {_fmt(c)} != {_fmt(target)}"
+        yield _within(f"Werner p={_fmt(p)}", dev=(abs(c - target), 1e-10))
     convex, concave = antilinear.roof_values(
         antilinear.wootters_conjugation(), states.maximally_mixed(4)
     )
-    yield abs(convex) <= 1e-10, f"convex roof at identity/4 is {_fmt(convex)}"
-    yield abs(concave - 1.0) <= 1e-10, f"concave roof at identity/4 is {_fmt(concave)}"
+    yield _within("convex roof at identity/4 = 0", dev=(abs(convex), 1e-10))
+    yield _within("concave roof at identity/4 = 1", dev=(abs(concave - 1.0), 1e-10))
 
 
 def prop_wootters_solver_agreement(rng, trials):
@@ -267,10 +285,8 @@ def prop_wootters_solver_agreement(rng, trials):
         rho = states.random_density(4, rank=rank, seed=rng)
         closed = measures.concurrence_2qubit(rho).value
         cfg = _light_config(rng, members=max(4, 2 * rank))
-        res = solver.minimize_roof(obj, rho, cfg)
-        num = 2.0 * res.value
-        ok = abs(closed - num) <= 2e-3 and closed <= num + 1e-10
-        yield ok, f"trial {t} rank={rank}: closed {_fmt(closed)} solver {_fmt(num)}"
+        num = 2.0 * solver.minimize_roof(obj, rho, cfg).value
+        yield _within(f"trial {t} rank={rank}", gap=(abs(closed - num), 2e-3), below=(closed - num, 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +308,14 @@ def prop_pencil_det_identity(rng, trials):
         rhs_t = float(np.linalg.det(qubitmaps.apply_map(T, X)).real)
         lhs_d = float(x @ q_det @ x)
         rhs_d = float(np.linalg.det(X).real)
-        scale = max(1.0, abs(rhs_t), abs(rhs_d))
-        ok = abs(lhs_t - rhs_t) <= 1e-12 * scale and abs(lhs_d - rhs_d) <= 1e-12 * scale
-        yield ok, f"trial {t}: det forms deviate {_fmt(lhs_t - rhs_t)}, {_fmt(lhs_d - rhs_d)}"
+        tol = 1e-12 * max(1.0, abs(rhs_t), abs(rhs_d))
+        yield _within(f"trial {t}", det_T=(abs(lhs_t - rhs_t), tol), det=(abs(lhs_d - rhs_d), tol))
 
 
 def prop_dephased_damping_weight(rng, trials):
     for g in np.linspace(0.1, 0.9, 9):
         sw = qubitmaps.subtraction_weight(qubitmaps.dephased_amplitude_damping(g))
-        ok = abs(sw.w - g) <= 1e-10 and abs(sw.w_hi - g) <= 1e-10
-        yield ok, f"gamma={_fmt(g)}: interval [{_fmt(sw.w_lo)}, {_fmt(sw.w_hi)}] != {{gamma}}"
+        yield _within(f"gamma={_fmt(g)}", w=(abs(sw.w - g), 1e-10), w_hi=(abs(sw.w_hi - g), 1e-10))
 
 
 def prop_axial_grid_resolution(rng, trials):
@@ -333,37 +347,27 @@ def prop_axial_grid_resolution(rng, trials):
                 total += 1
                 if dev <= 1e-8:
                     agree += 1
-    frac = agree / total
     yield f"grid agreement {agree}/{total} within 1e-08 (worst deviation {_fmt(worst)})"
-    yield frac >= 0.99, f"FAIL: agreement fraction {_fmt(frac)} < 0.99"
+    yield _within("grid", disagreeing_fraction=(1.0 - agree / total, 0.01))
 
 
 def prop_psd_certificate(rng, trials):
     for t in range(trials):
-        T = _rand_axial(rng)
-        sw = qubitmaps.subtraction_weight(T)
-        q_t, q_det = qubitmaps.det_T_form(T)
-        M = q_t - sw.w * q_det
+        M = _rand_subtracted_form(rng)
         xs = rng.normal(size=(1000, 4))
         xs[:, 0] = 1.0
         vals = np.einsum("ij,jk,ik->i", xs, M, xs)
-        worst = float(vals.min())
-        yield worst >= -1e-9, f"trial {t}: subtracted form dips to {_fmt(worst)} at w_lo"
+        yield _within(f"trial {t}", dip_below_zero=(-float(vals.min()), 1e-9))
 
 
 def prop_cauchy_schwarz(rng, trials):
     for t in range(trials):
-        T = _rand_axial(rng)
-        sw = qubitmaps.subtraction_weight(T)
-        q_t, q_det = qubitmaps.det_T_form(T)
-        M = q_t - sw.w * q_det
+        M = _rand_subtracted_form(rng)
         x = rng.normal(size=4)
         y = rng.normal(size=4)
-        qx = float(x @ M @ x)
-        qy = float(y @ M @ y)
         bxy = float(x @ M @ y)
-        ok = bxy * bxy <= qx * qy + 1e-10
-        yield ok, f"trial {t}: B(x,y)^2 - q(x)q(y) = {_fmt(bxy * bxy - qx * qy)}"
+        excess = bxy * bxy - float(x @ M @ x) * float(y @ M @ y)
+        yield _within(f"trial {t}", excess=(excess, 1e-10))
 
 
 def prop_seminorm_agreement(rng, trials):
@@ -384,12 +388,7 @@ def prop_seminorm_agreement(rng, trials):
             - qubitmaps.two_kraus_seminorm(A, B, X)
             - qubitmaps.two_kraus_seminorm(A, B, Y)
         )
-        ok = abs(semi - closed) <= 1e-8 and homog <= 1e-12 and tri <= 1e-10
-        yield (
-            ok,
-            f"trial {t}: seminorm {_fmt(semi)} vs closed {_fmt(closed)}, "
-            f"homogeneity {_fmt(homog)}, triangle excess {_fmt(tri)}",
-        )
+        yield _within(f"trial {t}", closed=(abs(semi - closed), 1e-8), homog=(homog, 1e-12), tri=(tri, 1e-10))
 
 
 def prop_general_two_kraus_identity(rng, trials):
@@ -400,8 +399,7 @@ def prop_general_two_kraus_identity(rng, trials):
         rho = states.random_density(2, rank=2, seed=rng)
         via_theta = qubitmaps.concurrence_general_two_kraus(theta, rho)
         via_pencil = float(np.sqrt(qubitmaps.concurrence_sq(T, rho)))
-        dev = abs(via_theta - via_pencil)
-        yield dev <= 1e-8, f"trial {t}: spectrum route {_fmt(via_theta)} vs pencil {_fmt(via_pencil)}"
+        yield _within(f"trial {t}", spectrum_vs_pencil=(abs(via_theta - via_pencil), 1e-8))
 
 
 def prop_length_two_average(rng, trials):
@@ -409,14 +407,12 @@ def prop_length_two_average(rng, trials):
         T = _rand_axial(rng)
         rho = states.random_density(2, rank=2, seed=rng)
         dec = qubitmaps.length_two_decomposition(T, rho)
-        rec = dec.reconstruction_error(rho)
         avg = sum(
             p * 2.0 * np.sqrt(max(0.0, np.linalg.det(qubitmaps.apply_map(T, np.outer(s, s.conj()))).real))
             for p, s in zip(dec.weights, dec.states)
         )
         closed = float(np.sqrt(qubitmaps.concurrence_sq(T, rho)))
-        ok = rec <= 1e-10 and abs(avg - closed) <= 1e-8
-        yield ok, f"trial {t}: rec {_fmt(rec)} average {_fmt(avg)} closed {_fmt(closed)}"
+        yield _within(f"trial {t}", rec=(dec.reconstruction_error(rho), 1e-10), avg=(abs(avg - closed), 1e-8))
 
 
 def prop_case_b_affine(rng, trials):
@@ -432,7 +428,6 @@ def prop_case_b_affine(rng, trials):
         r_hi = states.bloch_to_qubit(0.99 * direction)
         r_mid = states.bloch_to_qubit(0.0 * direction)
         taus = [qubitmaps.axial_tangle(a, m, g, r) for r in (r_lo, r_mid, r_hi)]
-        dev_tau = abs(taus[1] - (taus[0] + taus[2]) / 2.0)
         # concurrence affine along diameters at beta = critical beta
         bc = np.sqrt(qubitmaps.axial_critical_beta_sq(a, g))
         T = qubitmaps.axial_map(a, bc, g)
@@ -440,9 +435,11 @@ def prop_case_b_affine(rng, trials):
         cs = [
             np.sqrt(qubitmaps.concurrence_sq(T, r, sw)) for r in (r_lo, r_mid, r_hi)
         ]
-        dev_c = abs(cs[1] - (cs[0] + cs[2]) / 2.0)
-        ok = dev_tau <= 1e-10 and dev_c <= 1e-8
-        yield ok, f"trial {t}: tangle chord deviation {_fmt(dev_tau)}, concurrence {_fmt(dev_c)}"
+        yield _within(
+            f"trial {t}",
+            tangle_chord=(abs(taus[1] - (taus[0] + taus[2]) / 2.0), 1e-10),
+            concurrence_chord=(abs(cs[1] - (cs[0] + cs[2]) / 2.0), 1e-8),
+        )
 
 
 def prop_identity_map_interval(rng, trials):
@@ -453,11 +450,8 @@ def prop_identity_map_interval(rng, trials):
     sw = qubitmaps.subtraction_weight(qubitmaps.identity_map())
     rho = states.random_density(2, rank=2, seed=rng)
     csq = qubitmaps.concurrence_sq(qubitmaps.identity_map(), rho, sw)
-    yield (
-        abs(sw.w_lo - 1.0) <= 1e-9 and abs(sw.w_hi - 1.0) <= 1e-9,
-        f"identity-map interval [{_fmt(sw.w_lo)}, {_fmt(sw.w_hi)}] != {{1}}",
-    )
-    yield abs(csq) <= 1e-12, f"identity-map concurrence_sq {_fmt(csq)} != 0 on mixed input"
+    yield _within("identity-map interval", w_lo=(abs(sw.w_lo - 1.0), 1e-9), w_hi=(abs(sw.w_hi - 1.0), 1e-9))
+    yield _within("identity-map concurrence_sq on mixed input", dev=(abs(csq), 1e-12))
 
 
 def prop_tangle_solver(rng, trials):
@@ -467,7 +461,7 @@ def prop_tangle_solver(rng, trials):
         closed = measures.channel_tangle(T, rho).value
         obj = solver.objective_for(T, "det-out")
         num = 4.0 * solver.minimize_roof(obj, rho, _light_config(rng, members=4)).value
-        yield abs(closed - num) <= 5e-3, f"trial {t}: closed {_fmt(closed)} solver {_fmt(num)}"
+        yield _within(f"trial {t}", gap=(abs(closed - num), 5e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +471,16 @@ def prop_flat_pair_contract(rng, trials):
     for t in range(trials):
         omega = states.random_density(2, rank=2, seed=rng)
         dec = diagonal.ed_qubit_flat_pair(omega)
-        rec = dec.reconstruction_error(omega)
         vals = [
             measures.shannon_entropy(np.abs(np.asarray(s)) ** 2) for s in dec.states
         ]
-        spread = max(vals) - min(vals)
         avg = sum(p * v for p, v in zip(dec.weights, vals))
-        closed = diagonal.ed_qubit(omega)
-        ok = rec <= 1e-10 and spread <= 1e-10 and abs(avg - closed) <= 1e-10
-        yield ok, f"trial {t}: rec {_fmt(rec)} spread {_fmt(spread)} avg {_fmt(avg)} closed {_fmt(closed)}"
+        yield _within(
+            f"trial {t}",
+            rec=(dec.reconstruction_error(omega), 1e-10),
+            spread=(max(vals) - min(vals), 1e-10),
+            avg=(abs(avg - diagonal.ed_qubit(omega)), 1e-10),
+        )
 
 
 def prop_diag_concavity(rng, trials):
@@ -497,7 +492,7 @@ def prop_diag_concavity(rng, trials):
         mix = lam * rho1 + (1.0 - lam) * rho2
         lhs = diagonal.diag_entropy(mix)
         rhs = lam * diagonal.diag_entropy(rho1) + (1.0 - lam) * diagonal.diag_entropy(rho2)
-        yield lhs >= rhs - 1e-12, f"trial {t}: concavity violated by {_fmt(rhs - lhs)}"
+        yield _within(f"trial {t}", concavity_violation=(rhs - lhs, 1e-12))
 
 
 def prop_ed_symmetry(rng, trials):
@@ -511,8 +506,7 @@ def prop_ed_symmetry(rng, trials):
         rotated = diagonal.ed_qubit(
             states.bloch_to_qubit([c * x[0] - s * x[1], s * x[0] + c * x[1], x[2]])
         )
-        ok = abs(base - flipped) <= 1e-12 and abs(base - rotated) <= 1e-12
-        yield ok, f"trial {t}: ed moved under symmetry: {_fmt(base)} vs {_fmt(flipped)}/{_fmt(rotated)}"
+        yield _within(f"trial {t}", flip=(abs(base - flipped), 1e-12), rotate=(abs(base - rotated), 1e-12))
 
 
 def prop_isotropic_construction(rng, trials):
@@ -522,22 +516,22 @@ def prop_isotropic_construction(rng, trials):
         iso = diagonal.isotropic_state(d, F)
         psi = np.ones(d) / np.sqrt(d)
         fid = float((psi @ iso.matrix @ psi).real)
-        diag_dev = float(np.max(np.abs(np.diag(iso.matrix).real - 1.0 / d)))
-        off = iso.matrix[0, 1].real
-        ok = abs(fid - F) <= 1e-12 and diag_dev <= 1e-14 and abs(off - iso.x / d) <= 1e-14
-        yield ok, f"trial {t} d={d}: fidelity {_fmt(fid)} != F={_fmt(F)}"
+        yield _within(
+            f"trial {t} d={d}",
+            fidelity=(abs(fid - F), 1e-12),
+            diag=(_sup(np.diag(iso.matrix).real - 1.0 / d), 1e-14),
+            off_diag=(abs(iso.matrix[0, 1].real - iso.x / d), 1e-14),
+        )
     iso = diagonal.isotropic_state(3, 1.0 / 3.0)
-    yield (
-        float(np.max(np.abs(iso.matrix - np.eye(3) / 3.0))) <= 1e-14,
-        "F = 1/d does not give the maximally mixed state",
-    )
+    yield _within("F = 1/d gives identity/d", dev=(_sup(iso.matrix - np.eye(3) / 3.0), 1e-14))
     iso = diagonal.isotropic_state(3, 1.0)
     yield states.spectrum(iso.matrix).rank == 1, "F = 1 does not give a pure state"
     try:
         diagonal.isotropic_state(3, 1.2)
-        yield False, "fidelity 1.2 accepted"
-    except Exception:
+    except OutOfRange:
         yield True, ""
+    else:
+        yield False, "fidelity 1.2 accepted"
 
 
 def _rand_embedding(rng, d):
@@ -558,11 +552,10 @@ def prop_embedding_diag_offset(rng, trials):
         expected_diag = np.concatenate(
             [np.abs(y) ** 2 * omega[j, j].real for j, y in enumerate(spec.amplitudes)]
         )
-        diag_dev = float(np.max(np.abs(np.diag(img).real - expected_diag)))
         lhs = diagonal.diag_entropy(img)
         rhs = diagonal.diag_entropy(omega) + diagonal.embedding_offset(spec, omega)
-        ok = diag_dev <= 1e-12 and abs(lhs - rhs) <= 1e-10
-        yield ok, f"trial {t}: diag dev {_fmt(diag_dev)}, entropy identity off {_fmt(lhs - rhs)}"
+        diag_dev = _sup(np.diag(img).real - expected_diag)
+        yield _within(f"trial {t}", diag=(diag_dev, 1e-12), entropy_identity=(abs(lhs - rhs), 1e-10))
 
 
 def prop_leaf_membership(rng, trials):
@@ -574,7 +567,7 @@ def prop_leaf_membership(rng, trials):
         ok2 = diagonal.concave_leaf_membership(omega, dephased)
         diag = np.diag(omega).real
         perm = np.roll(diag, 1)
-        distinct = float(np.max(np.abs(diag - perm))) > 1e-6
+        distinct = _sup(diag - perm) > 1e-6
         rho_perm = np.diag(perm).astype(complex)
         ok3 = (not diagonal.concave_leaf_membership(omega, rho_perm)) if distinct else True
         yield ok1 and ok2 and ok3, f"trial {t}: leaf membership answers {ok1}/{ok2}/{ok3}"
@@ -586,25 +579,19 @@ def prop_optimal_pair_embedding(rng, trials):
     dec = diagonal.ed_qubit_flat_pair(omega)
     qs = sorted((np.abs(np.asarray(s)) ** 2 for s in dec.states), key=lambda q: float(q[0]))
     lo, hi = qs[0], qs[1]
-    yield (
-        float(np.max(np.abs(lo - np.array([1.0 / 3.0, 2.0 / 3.0])))) <= 1e-12,
-        f"low member diag {lo} != (1/3, 2/3)",
-    )
-    yield (
-        float(np.max(np.abs(hi - np.array([2.0 / 3.0, 1.0 / 3.0])))) <= 1e-12,
-        f"high member diag {hi} != (2/3, 1/3)",
-    )
+    yield _within("low member diag = (1/3, 2/3)", dev=(_sup(lo - [1.0 / 3.0, 2.0 / 3.0]), 1e-12))
+    yield _within("high member diag = (2/3, 1/3)", dev=(_sup(hi - [2.0 / 3.0, 1.0 / 3.0]), 1e-12))
     spec = diagonal.qubit_split_embedding()
-    for q, target in ((lo, np.array([1.0, 1.0, 1.0]) / 3.0), (hi, np.array([4.0, 1.0, 1.0]) / 6.0)):
+    for name, q, target in (
+        ("low", lo, np.array([1.0, 1.0, 1.0]) / 3.0),
+        ("high", hi, np.array([4.0, 1.0, 1.0]) / 6.0),
+    ):
         img_diag = np.concatenate(
             [np.abs(y) ** 2 * q[j] for j, y in enumerate(spec.amplitudes)]
         )
-        yield (
-            float(np.max(np.abs(img_diag - target))) <= 1e-12,
-            f"embedded diag {img_diag} != {target}",
-        )
+        yield _within(f"embedded {name} member diag", dev=(_sup(img_diag - target), 1e-12))
     val, psi = diagonal.h0_min_entropy_experiment(2)
-    yield abs(val - np.log(2.0)) <= 1e-15, f"H0 value at d=2 is {_fmt(val)} != log 2"
+    yield _within("H0 value at d=2 = log 2", dev=(abs(val - np.log(2.0)), 1e-15))
 
 
 def prop_ed_solver(rng, trials):
@@ -615,11 +602,8 @@ def prop_ed_solver(rng, trials):
         res = solver.minimize_roof(obj, omega, _light_config(rng, members=4))
         top = solver.maximize_roof(obj, omega, _light_config(rng, members=4))
         smax = diagonal.diag_entropy(omega)
-        ok = abs(closed - res.value) <= 2e-3 and abs(top.value - smax) <= 2e-3
-        yield (
-            ok,
-            f"trial {t}: closed {_fmt(closed)} min-solver {_fmt(res.value)}, "
-            f"max-solver {_fmt(top.value)} S(diag) {_fmt(smax)}",
+        yield _within(
+            f"trial {t}", min_gap=(abs(closed - res.value), 2e-3), max_gap=(abs(top.value - smax), 2e-3)
         )
 
 
@@ -634,7 +618,7 @@ def prop_embedding_offset_solver(rng, trials):
             solver.minimize_roof(obj, omega, _light_config(rng, members=4)).value
             + diagonal.embedding_offset(spec, omega)
         )
-        yield abs(lhs - rhs) <= 5e-3, f"trial {t}: embedded {_fmt(lhs)} vs shifted {_fmt(rhs)}"
+        yield _within(f"trial {t}", embedded_vs_shifted=(abs(lhs - rhs), 5e-3))
 
 
 def prop_isotropic_members_distinct(rng, trials):
@@ -648,7 +632,7 @@ def prop_isotropic_members_distinct(rng, trials):
         ds = [np.abs(np.asarray(s)) ** 2 for s in res.decomposition.states]
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
-                min_dist = min(min_dist, float(np.max(np.abs(ds[i] - ds[j]))))
+                min_dist = min(min_dist, _sup(ds[i] - ds[j]))
         if min_dist <= 1e-6:
             yield (
                 f"soft check: F={_fmt(F)} found two members with matching diagonals "
@@ -664,9 +648,9 @@ def prop_h0_dims(rng, trials):
     val4, _ = diagonal.h0_min_entropy_experiment(4, cfg)
     log2 = float(np.log(2.0))
     yield f"minimal output entropies: d=2 {_fmt(val2)}, d=3 {_fmt(val3)}, d=4 {_fmt(val4)} (log 2 = {_fmt(log2)})"
-    yield abs(val2 - log2) <= 1e-15, f"d=2 value {_fmt(val2)}"
-    yield abs(val3 - log2) <= 1e-3, f"d=3 value {_fmt(val3)} not within 1e-3 of log 2"
-    yield val4 >= log2 - 1e-3, f"d=4 value {_fmt(val4)} sits below log 2 - 1e-3"
+    yield _within("d=2 value vs log 2", dev=(abs(val2 - log2), 1e-15))
+    yield _within("d=3 value vs log 2", dev=(abs(val3 - log2), 1e-3))
+    yield _within("d=4 value vs log 2", below=(log2 - val4, 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +658,17 @@ def prop_h0_dims(rng, trials):
 
 def prop_xi_shape(rng, trials):
     log2 = float(np.log(2.0))
-    yield abs(measures.xi(0.0)) <= 1e-15, "xi(0) != 0"
-    yield abs(measures.xi(1.0) - log2) <= 1e-15, "xi(1) != log 2"
-    yield (
-        abs(measures.xi(0.6) - measures.shannon_entropy([0.1, 0.9])) <= 1e-12,
-        "xi(0.6) != eta(0.1)+eta(0.9)",
-    )
-    grid = np.linspace(0.0, 1.0, 21)
-    vals = [measures.xi(x) for x in grid]
-    yield all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), "xi not monotone on [0,1]"
+    yield _within("xi(0) = 0", dev=(abs(measures.xi(0.0)), 1e-15))
+    yield _within("xi(1) = log 2", dev=(abs(measures.xi(1.0) - log2), 1e-15))
+    eta_sum = measures.shannon_entropy([0.1, 0.9])
+    yield _within("xi(0.6) = eta(0.1)+eta(0.9)", dev=(abs(measures.xi(0.6) - eta_sum), 1e-12))
+    vals = [measures.xi(x) for x in np.linspace(0.0, 1.0, 21)]
+    yield _within("xi monotone on [0,1]", drop=(float(np.max(-np.diff(vals))), 1e-12))
     for t in range(trials):
         x, y = rng.uniform(0.0, 1.0, size=2)
         mid = measures.xi((x + y) / 2.0)
         chord = (measures.xi(x) + measures.xi(y)) / 2.0
-        yield mid <= chord + 1e-9, f"trial {t}: xi midpoint above chord by {_fmt(mid - chord)}"
+        yield _within(f"trial {t}", midpoint_above_chord=(mid - chord, 1e-9))
 
 
 def prop_tau_vs_csq(rng, trials):
@@ -697,7 +678,7 @@ def prop_tau_vs_csq(rng, trials):
         a, b, g = T.params
         tau = qubitmaps.axial_tangle(a, b, g, rho)
         csq = qubitmaps.concurrence_sq(T, rho)
-        yield tau >= csq - 1e-9, f"trial {t}: tau {_fmt(tau)} < C^2 {_fmt(csq)}"
+        yield _within(f"trial {t}", csq_above_tau=(csq - tau, 1e-9))
 
 
 def prop_eof_mixing(rng, trials):
@@ -709,7 +690,7 @@ def prop_eof_mixing(rng, trials):
         mixed = lam * rho + (1.0 - lam) * sep
         lhs = measures.eof_2qubit(mixed).value
         rhs = lam * measures.eof_2qubit(rho).value
-        yield lhs <= rhs + 1e-9, f"trial {t}: mixing raised EoF by {_fmt(lhs - rhs)}"
+        yield _within(f"trial {t}", eof_rise=(lhs - rhs, 1e-9))
 
 
 def prop_pure_state_consistency(rng, trials):
@@ -721,8 +702,7 @@ def prop_pure_state_consistency(rng, trials):
         det4 = 4.0 * float(np.linalg.det(qubitmaps.apply_map(T, pi)).real)
         csq = qubitmaps.concurrence_sq(T, pi)
         tau = qubitmaps.axial_tangle(a, b, g, pi)
-        ok = abs(csq - det4) <= 1e-10 and abs(tau - det4) <= 1e-10
-        yield ok, f"trial {t}: pure values differ: C^2 {_fmt(csq)}, tau {_fmt(tau)}, 4detT {_fmt(det4)}"
+        yield _within(f"trial {t} vs 4 det T", csq=(abs(csq - det4), 1e-10), tau=(abs(tau - det4), 1e-10))
 
 
 def prop_flat_transfer(rng, trials):
@@ -732,12 +712,11 @@ def prop_flat_transfer(rng, trials):
         rho = states.random_density(4, rank=2, seed=rng)
         dec = antilinear.flat_optimal_decomposition(theta, rho, mode="convex")
         _, spread, vals = solver.flatness_check(obj, dec, tol=1e-8)
-        eof_closed = measures.eof_2qubit(rho).value
         avg_xi = sum(
             p * measures.xi(min(1.0, 2.0 * v)) for p, v in zip(dec.weights, vals)
         )
-        ok = spread <= 1e-8 and abs(avg_xi - eof_closed) <= 5e-3
-        yield ok, f"trial {t}: spread {_fmt(spread)}, xi-average {_fmt(avg_xi)} vs EoF {_fmt(eof_closed)}"
+        eof = measures.eof_2qubit(rho).value
+        yield _within(f"trial {t}", spread=(spread, 1e-8), xi_avg_vs_eof=(abs(avg_xi - eof), 5e-3))
 
 
 def prop_channel_bound(rng, trials):
@@ -745,14 +724,8 @@ def prop_channel_bound(rng, trials):
         T = _rand_axial(rng)
         rho = states.random_density(2, rank=2, seed=rng)
         rep = measures.channel_entanglement(T, rho, _light_config(rng, members=4))
-        lower = rep.bounds[0]
-        upper = rep.bounds[1]
-        ok = rep.value >= lower - 5e-3 and rep.value <= upper + 1e-9
-        yield (
-            ok,
-            f"trial {t}: E {_fmt(rep.value)} outside [xi(C) - 5e-3, ensemble] = "
-            f"[{_fmt(lower)}, {_fmt(upper)}]",
-        )
+        lower, upper = rep.bounds[0], rep.bounds[1]
+        yield _within(f"trial {t}", below=(lower - rep.value, 5e-3), above=(rep.value - upper, 1e-9))
     # diagonal channel: solver value must match the closed form
     rng2 = np.random.default_rng(12345)
     omega = states.random_density(2, rank=2, seed=rng2)
@@ -760,11 +733,9 @@ def prop_channel_bound(rng, trials):
     rep = measures.channel_entanglement(
         T, omega, solver.SolverConfig(members=4, restarts=6, max_iters=600, stall_iters=40, seed=7)
     )
-    closed = diagonal.ed_qubit(omega)
-    yield (
-        abs(rep.value - closed) <= 2e-3 and rep.extras.get("flat", False),
-        f"diagonal channel: solver {_fmt(rep.value)} vs closed {_fmt(closed)}",
-    )
+    ok, note = _within("diagonal channel", gap=(abs(rep.value - diagonal.ed_qubit(omega)), 2e-3))
+    flat = rep.extras.get("flat", False)
+    yield ok and flat, f"{note}, flat {flat}"
 
 
 def prop_strict_gap(rng, trials):
@@ -775,12 +746,9 @@ def prop_strict_gap(rng, trials):
     tau = qubitmaps.axial_tangle(1.0, 0.0, g, rho)
     detrho = float(np.linalg.det(rho).real)
     expected_gap = 4.0 * (g - g * g) * detrho
-    yield abs(csq - 0.375) <= 1e-12, f"C^2 at the reference point is {_fmt(csq)} != 0.375"
+    yield _within("C^2 at the reference point = 0.375", dev=(abs(csq - 0.375), 1e-12))
     yield tau - csq > 1e-6, f"tangle gap not strict: tau {_fmt(tau)} vs C^2 {_fmt(csq)}"
-    yield (
-        abs((tau - csq) - expected_gap) <= 1e-12,
-        f"gap {_fmt(tau - csq)} != 4 (w_C - w_tau) det rho = {_fmt(expected_gap)}",
-    )
+    yield _within("gap = 4 (w_C - w_tau) det rho", dev=(abs((tau - csq) - expected_gap), 1e-12))
 
 
 # ---------------------------------------------------------------------------

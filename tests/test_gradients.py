@@ -36,8 +36,8 @@ def _square_root(omega):
 
 def _assert_gradient_matches(objective, K, V):
     """The exact stacked gradient equals central differences of objective.batch."""
-    _, exact = _roof_closures(objective, K, 1e-6)
-    _, central = _roof_closures(dataclasses.replace(objective, grad=None), K, 1e-6)
+    _, exact = _roof_closures(objective, K)
+    _, central = _roof_closures(dataclasses.replace(objective, grad=None), K)
     G, G_fd = exact(V), central(V)
     assert G.shape == V.shape and np.all(np.isfinite(G))
     err = np.max(np.abs(G - G_fd))
@@ -88,9 +88,9 @@ def test_output_objective_gradient(maker, source):
 def test_h0_entropy_gradient(monkeypatch, d):
     seen = []
 
-    def spy(objective, K, fd_step):
+    def spy(objective, K):
         seen.append((objective, K))
-        return _roof_closures(objective, K, fd_step)
+        return _roof_closures(objective, K)
 
     monkeypatch.setattr(diagonal, "_roof_closures", spy)
     h0_min_entropy_experiment(d, SolverConfig(restarts=2, max_iters=5))

@@ -5,6 +5,7 @@ import pytest
 
 from roofext import (
     DimMismatch,
+    EmbeddingSpec,
     OutOfRange,
     RoofextError,
     SolverConfig,
@@ -13,6 +14,7 @@ from roofext import (
     axial_map,
     axial_tangle,
     bell_state,
+    bloch_to_qubit,
     check_symmetric,
     channel_entanglement,
     channel_tangle,
@@ -34,6 +36,8 @@ from roofext import (
     random_pure,
     shannon_entropy,
     spectrum,
+    theta_from_kraus_pair,
+    transport_theta,
     two_kraus_seminorm,
     von_neumann_entropy,
     validate_density,
@@ -237,6 +241,11 @@ NAN_INPUTS = {
     "validate_pure": lambda: validate_pure([NAN, 1.0]),
     "two_kraus_seminorm": lambda: two_kraus_seminorm(np.diag([NAN, 1.0]), np.zeros((2, 2)), np.eye(2)),
     "shannon_entropy": lambda: shannon_entropy([NAN, 0.5]),
+    "EmbeddingSpec": lambda: EmbeddingSpec((1, 2), ([1.0], [NAN, 1.0])),
+    "bloch_to_qubit": lambda: bloch_to_qubit((NAN, 0.0, 0.0)),
+    "pure_projector": lambda: pure_projector([NAN, 1.0]),
+    "transport_theta": lambda: transport_theta(np.eye(2), np.full((2, 2), NAN)),
+    "theta_from_kraus_pair": lambda: theta_from_kraus_pair(np.full((2, 2), NAN), np.eye(2)),
 }
 
 

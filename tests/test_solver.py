@@ -75,7 +75,7 @@ def test_stiefel_retract_of_nan_is_nan_without_warning():
 
 def _closures(objective, omega):
     sp = spectrum(omega)
-    return _roof_closures(objective, sp.factor[:, : sp.rank], 1e-6), sp.rank
+    return _roof_closures(objective, sp.factor[:, : sp.rank]), sp.rank
 
 
 def _random_stack(rng, n, L, r):
@@ -298,8 +298,6 @@ def test_diagonal_channel_objective_matches_bloch(rng):
         ("restarts", -2),
         ("max_iters", 0),
         ("stall_iters", 0),
-        ("fd_step", 0.0),
-        ("fd_step", -1e-6),
     ],
 )
 def test_solver_config_rejects_misleading_values(field, value):
@@ -310,7 +308,7 @@ def test_solver_config_rejects_misleading_values(field, value):
 
 
 def test_solver_config_accepts_its_edges():
-    SolverConfig(tol=0.0, restarts=1, max_iters=1, stall_iters=1, fd_step=1e-12)
+    SolverConfig(tol=0.0, restarts=1, max_iters=1, stall_iters=1)
 
 
 def test_stop_reason_armijo_is_not_converged():

@@ -203,6 +203,13 @@ def test_werner_state_rejects_a_parameter_that_is_not_a_state(p):
         werner_state(p)
 
 
+@pytest.mark.parametrize("make", [maximally_mixed, random_pure, random_unitary])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_constructors_reject_dim_below_one(make, dim):
+    with pytest.raises(DimMismatch, match=">= 1"):
+        make(dim)
+
+
 def test_random_generators_are_seeded():
     a = random_density(3, seed=7)
     b = random_density(3, seed=7)

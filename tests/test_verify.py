@@ -1,9 +1,12 @@
+import dataclasses
 import io
+import re
 from pathlib import Path
 
 import pytest
 
-from roofext import DegeneratePencil, verify
+from roofext import DegeneratePencil, antilinear, verify
+from roofext.cli import main
 
 
 def _run(suites, trials=2, seed=0):
@@ -65,6 +68,27 @@ def test_runner_tallies_checks_and_prints_notes_in_yield_order(monkeypatch):
         "  printed on failure",
         "total: 3 checks, 2 failures",
     ]
+
+
+def test_within_fails_on_nan_and_names_every_tolerance():
+    assert verify._within("edge", dev=(1e-8, 1e-8)) == (True, "edge: dev 1e-08 (tol 1e-08)")
+    ok, note = verify._within("trial 0", rec=(float("nan"), 1e-8), spread=(0.0, 1e-8))
+    assert ok is False
+    assert note == "trial 0: rec nan (tol 1e-08), spread 0 (tol 1e-08)"
+
+
+def test_a_failing_check_prints_its_deviation_and_tolerance(monkeypatch, capsys):
+    takagi = antilinear.takagi
+
+    def off_by_1e_6(B):
+        tak = takagi(B)
+        return dataclasses.replace(tak, lambdas=tak.lambdas + 1e-6)
+
+    monkeypatch.setattr(antilinear, "takagi", off_by_1e_6)
+    assert main(["verify", "--suite", "wootters", "--trials", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[wootters] takagi-reconstruct: FAIL" in out
+    assert re.search(r"\n  trial 0: rec \S+ \(tol 1e-08\), svd 1(\.\d+)?e-06 \(tol 1e-10\)", out)
 
 
 def test_all_suites_match_the_pinned_output():
