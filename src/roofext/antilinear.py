@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimMismatch,
+    NotIsometry,
     NotSymmetric,
     OutOfRange,
     RoofextError,
@@ -81,6 +82,9 @@ def transport_theta(theta, unitary):
     A = np.asarray(theta, dtype=complex)
     if not (np.isfinite(U).all() and np.isfinite(A).all()):
         raise OutOfRange("theta or unitary has non-finite entries")
+    dev = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+    if not dev <= 1e-10:
+        raise NotIsometry(f"|U^dag U - 1| = {dev:.3e} > 1e-10")
     return U @ A @ U.T
 
 
@@ -190,7 +194,7 @@ def real_hadamard(n):
 # ---------------------------------------------------------------------------
 # Flat optimal decompositions
 
-def _polygon_phases(lams, tol=1e-10):
+def _polygon_phases(lams):
     """Unimodular phases c_j with sum_j c_j lams_j = 0 (needs l1 <= sum of rest).
 
     For descending lams, a = l2 + l4 + ... and b = l3 + l5 + ... satisfy
@@ -211,7 +215,7 @@ def _polygon_phases(lams, tol=1e-10):
     phases[1::2] = -np.exp(-1j * angle(a, b))
     phases[2::2] = -np.exp(1j * angle(b, a))
     closure = abs(complex(np.sum(phases * lams)))
-    if closure > tol * max(1.0, float(lams[0])):
+    if closure > 1e-10 * max(1.0, float(lams[0])):
         raise RoofextError(f"phase polygon failed to close: residual {closure:.3e}")
     return phases
 

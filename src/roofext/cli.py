@@ -69,15 +69,6 @@ def _write_csv(path, header, rows):
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _solver_config(args, members=None):
-    return solver.SolverConfig(
-        members=members,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
-
-
 def _add_solver_flags(sub, restarts=16, max_iters=1500):
     sub.add_argument("--members", type=int, default=None, help="decomposition length")
     sub.add_argument("--restarts", type=int, default=restarts)
@@ -145,23 +136,14 @@ def cmd_solve(args):
         obj = solver.objective_for(_load_map(args.map), name)
         if rho.shape != (2, 2):
             raise DimMismatch("qubit-map objectives need a 2x2 state")
-    cfg = _solver_config(args, members=args.members)
+    cfg = solver.SolverConfig(
+        members=args.members, restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
+    )
     run = solver.maximize_roof if args.mode == "max" else solver.minimize_roof
     res = run(obj, rho, cfg)
-    payload = {
-        "objective": res.objective,
-        "mode": res.mode,
-        "value": res.value,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "stop_reason": res.stop_reason,
-        "restart_values": list(res.restart_values),
-        "restart_reasons": list(res.restart_reasons),
-        "value_evals": res.value_evals,
-        "grad_evals": res.grad_evals,
-        "grad_norm": res.grad_norm,
-        "decomposition": serialize.decomposition_to_json(res.decomposition),
-    }
+    payload = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    payload["converged"] = res.converged
+    payload["decomposition"] = serialize.decomposition_to_json(res.decomposition)
     print(serialize.dumps(payload))
     return 0
 

@@ -16,9 +16,8 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, DimMismatch, NotIsometry, OutOfRange
-from .solver import RoofObjective, SolverConfig, _multistart, _roof_closures
+from .solver import SolverConfig, _multistart, _roof_closures, diag_entropy_objective
 from .states import (
-    _TINY,
     bloch_chord,
     eta,
     qubit_to_bloch,
@@ -183,6 +182,8 @@ def _h0_basis(d):
 def h0_min_entropy_experiment(d, config=None):
     """Minimize diag_entropy over pure states with amplitudes summing to zero.
 
+    The objective is solver.diag_entropy_objective as a one-member roof over
+    a basis of H0; on unit members its value is diag_entropy.
     Returns (best value, best state).  Restart 0 starts from the two-point
     candidate (|0> - |1>)/sqrt(2) whose value is exactly log 2, so the result
     never exceeds log 2 by more than solver noise; remaining restarts are
@@ -197,12 +198,7 @@ def h0_min_entropy_experiment(d, config=None):
         return float(np.log(2.0)), cand
     cfg = config if config is not None else SolverConfig(restarts=64)
     N = _h0_basis(d)
-    entropy = RoofObjective(
-        "h0-entropy",
-        lambda Z: eta(np.abs(Z) ** 2).sum(axis=0),
-        lambda Z: -2.0 * (np.log(np.abs(Z) ** 2 + _TINY) + 1.0) * Z,
-    )
-    value_fn, grad_fn = _roof_closures(entropy, N)
+    value_fn, grad_fn = _roof_closures(diag_entropy_objective(), N)
     # a point a of St(d-1, 1) is the one-member row a^T of a roof over N
     flip = lambda V: V.mT  # noqa: E731
     a0 = N.conj().T @ cand[:, None]

@@ -425,6 +425,9 @@ def length_two_decomposition(T, rho):
     the null direction with zero trace component: along it the subtracted
     form is constant, so both members have the concurrence of rho.  Another
     null direction can give a decomposition whose average is above the roof.
+    A one-dimensional null space is never timelike (nu^T Q_det nu > 0): the
+    pencil would then stay PSD below w_lo, or at w_lo = 0 have a null space of
+    dimension >= 3.  So the line through rho always meets the sphere twice.
     """
     sp = spectrum(rho, dim=2)
     if sp.rank == 1:
@@ -440,16 +443,6 @@ def length_two_decomposition(T, rho):
         null = vecs[:, :null_dim]
         nu = null @ np.linalg.svd(null[:1])[2][-1]
     x_rho = four_vector(sp.matrix)
-
-    def direction(nu):
-        return (nu / nu[0] - x_rho if abs(nu[0]) > 1e-10 else nu)[1:]
-
-    d3 = direction(nu)
-    if np.linalg.norm(d3) < 1e-12:
-        # null direction parallel to rho itself; fall back to the next eigenvector
-        warnings.warn(
-            "null direction is parallel to the state; falling back to the next eigenvector",
-            DegeneratePencil,
-        )
-        d3 = direction(vecs[:, 1])
+    # nu is never timelike, so nu / nu[0] is on or outside the Bloch sphere and d3 != 0
+    d3 = (nu / nu[0] - x_rho if abs(nu[0]) > 1e-10 else nu)[1:]
     return bloch_chord(x_rho[1:], d3)

@@ -154,9 +154,7 @@ def validate_pure(vector):
 
 
 def pure_projector(psi):
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if not np.isfinite(psi).all():
-        raise OutOfRange("pure state has non-finite amplitudes")
+    psi = validate_pure(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -205,10 +203,11 @@ class PureDecomposition:
     def from_columns(cls, Z):
         """Members z_j / |z_j| with weights |z_j|^2 (renormalized) from the columns z_j of Z.
 
-        Columns of weight at most WEIGHT_TOL are dropped.
+        Columns of weight at most WEIGHT_TOL are dropped; a NaN column is kept,
+        so that the constructor's checks reject it.
         """
         weights = np.sum(np.abs(Z) ** 2, axis=0)
-        keep = weights > WEIGHT_TOL
+        keep = ~(weights <= WEIGHT_TOL)
         kept = weights[keep]
         return cls(tuple(kept / kept.sum()), tuple((Z[:, keep] / np.sqrt(kept)).T))
 
@@ -240,21 +239,26 @@ def decomposition_from_isometry(omega, isometry):
     V = np.asarray(isometry, dtype=complex)
     if V.ndim != 2:
         raise NotIsometry(f"expected a 2-d array, got shape {V.shape}")
-    L, r = V.shape
+    if not np.isfinite(V).all():
+        raise NotIsometry("isometry has non-finite entries")
+    r = V.shape[1]
+    # rank(V^dag V) <= L, so this also rejects L < r
     gram_dev = float(np.max(np.abs(V.conj().T @ V - np.eye(r))))
-    if gram_dev > 1e-10:
+    if not gram_dev <= 1e-10:
         raise NotIsometry(f"|V^dag V - 1| = {gram_dev:.3e} > 1e-10")
     if r != sp.rank:
         raise DimMismatch(f"isometry has {r} columns but the state has rank {sp.rank}")
-    if L < r:
-        raise NotIsometry(f"need at least rank many members, got L={L} < r={r}")
     return PureDecomposition.from_columns(sp.factor[:, :r] @ V.T)
+
+
+def _require_dim(dim):
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DimMismatch(f"dimension must be an integer >= 1, got {dim!r}")
 
 
 def random_pure(dim, seed=None):
     """Haar-random pure state (normalized complex Gaussian)."""
-    if dim < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {dim}")
+    _require_dim(dim)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -265,6 +269,7 @@ def random_density(dim, rank=None, seed=None):
 
     Wishart construction: G is dim x rank complex Gaussian, omega = G G^dag / tr.
     """
+    _require_dim(dim)
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
@@ -276,8 +281,7 @@ def random_density(dim, rank=None, seed=None):
 
 
 def random_unitary(dim, seed=None):
-    if dim < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {dim}")
+    _require_dim(dim)
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     Q, R = np.linalg.qr(G)
@@ -341,8 +345,7 @@ def bloch_chord(x, direction):
 # Stock states used all over the tests and the CLI examples.
 
 def maximally_mixed(dim):
-    if dim < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {dim}")
+    _require_dim(dim)
     return np.eye(dim, dtype=complex) / dim
 
 

@@ -94,10 +94,10 @@ def _rand_kraus_channel(rng, n_ops):
     return qubitmaps.kraus_map(_rand_kraus_ops(rng, n_ops))
 
 
-def _light_config(rng, members=None, restarts=4):
+def _light_config(rng, members):
     return solver.SolverConfig(
         members=members,
-        restarts=restarts,
+        restarts=4,
         max_iters=500,
         tol=1e-9,
         stall_iters=30,

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from roofext import (
     ConfigError,
+    NotIsometry,
     NotSymmetric,
     ShapeMismatch,
     UnsupportedOrder,
@@ -114,6 +115,11 @@ def test_transport_invariance(rng):
         # transported matrix stays symmetric
         At = transport_theta(A, U)
         np.testing.assert_allclose(At, At.T, atol=1e-12)
+
+
+def test_transport_theta_rejects_a_non_unitary():
+    with pytest.raises(NotIsometry, match="U\\^dag U"):
+        transport_theta(np.eye(2), 2.0 * np.eye(2))
 
 
 def test_theta_expectation_is_two_homogeneous(rng):

@@ -95,7 +95,7 @@ def test_h0_entropy_gradient(monkeypatch, d):
     monkeypatch.setattr(diagonal, "_roof_closures", spy)
     h0_min_entropy_experiment(d, SolverConfig(restarts=2, max_iters=5))
     (objective, N), = seen
-    assert objective.grad is not None
+    assert objective.name == "diag-entropy" and objective.grad is not None
     rng = np.random.default_rng(400 + d)
     a = rng.normal(size=(3, 1, d - 1)) + 1j * rng.normal(size=(3, 1, d - 1))
     _assert_gradient_matches(objective, N, a / np.linalg.norm(a, axis=2, keepdims=True))

@@ -7,6 +7,7 @@ from roofext import (
     DimMismatch,
     EmbeddingSpec,
     OutOfRange,
+    PureDecomposition,
     RoofextError,
     SolverConfig,
     affine_map,
@@ -20,6 +21,7 @@ from roofext import (
     channel_tangle,
     concurrence_2qubit,
     concurrence_sq,
+    decomposition_from_isometry,
     dephased_amplitude_damping,
     depolarizing_map,
     diagonal_channel,
@@ -246,6 +248,10 @@ NAN_INPUTS = {
     "pure_projector": lambda: pure_projector([NAN, 1.0]),
     "transport_theta": lambda: transport_theta(np.eye(2), np.full((2, 2), NAN)),
     "theta_from_kraus_pair": lambda: theta_from_kraus_pair(np.full((2, 2), NAN), np.eye(2)),
+    "decomposition_from_isometry": lambda: decomposition_from_isometry(
+        maximally_mixed(2), np.array([[NAN, 0.0], [0.0, 1.0]])
+    ),
+    "from_columns": lambda: PureDecomposition.from_columns(np.array([[1.0, NAN], [0.0, 0.0]])),
 }
 
 

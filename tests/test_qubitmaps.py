@@ -374,6 +374,36 @@ def test_length_two_decomposition_two_kraus_is_optimal():
         assert abs(avg - map_concurrence(T, rho).value) < 1e-8
 
 
+def _null_direction_families(g):
+    for n_ops in (2, 3, 4):
+        for _ in range(40):
+            yield f"kraus{n_ops}", _rand_kraus_channel(g, n_ops)
+    for _ in range(40):
+        a, gam = g.uniform(0.02, 0.98, size=2)
+        b = axial_beta_max(a, gam) * g.choice([-1.0, 1.0]) * g.choice([g.uniform(), 1.0])
+        yield "axial", axial_map(a, b, gam)
+    for _ in range(120):
+        m = np.eye(4)
+        m[1:] = g.normal(size=(3, 4)) * g.uniform(0.1, 0.5)
+        yield "affine", QubitStochasticMap(kind="affine", bloch=m)
+
+
+def test_one_dimensional_pencil_null_space_is_never_timelike():
+    # length_two_decomposition cuts along nu without a fallback: a timelike nu
+    # (nu_0^2 > |nu_spatial|^2) would put the cut point inside the Bloch sphere
+    one_dim = {}
+    for family, T in _null_direction_families(np.random.default_rng(0)):
+        try:
+            vals, vecs = T.weight.pencil_eigh
+        except EmptyInterval:
+            continue
+        if np.sum(vals <= 1e-8 * T.det_form[1]) == 1:
+            nu = vecs[:, 0]
+            assert nu[0] ** 2 <= nu[1:] @ nu[1:] + 1e-9, (family, T.bloch)
+            one_dim[family] = one_dim.get(family, 0) + 1
+    assert set(one_dim) == {"kraus3", "kraus4", "axial", "affine"}, one_dim
+
+
 def test_length_two_decomposition_pure_passthrough():
     T = dephased_amplitude_damping(0.4)
     psi = random_pure(2, seed=4)

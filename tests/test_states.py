@@ -162,6 +162,13 @@ def test_decomposition_from_isometry(rng):
     assert dec.reconstruction_error(rho) < 1e-12
     with pytest.raises(NotIsometry):
         decomposition_from_isometry(rho, 1.1 * V)
+    with pytest.raises(NotIsometry):  # fewer members than the rank is never an isometry
+        decomposition_from_isometry(rho, np.array([[1.0, 0.0]]))
+
+
+def test_pure_projector_rejects_an_unnormalized_vector():
+    with pytest.raises(NotIsometry, match="norm"):
+        pure_projector([1.0, 1.0])
 
 
 @given(
@@ -203,8 +210,8 @@ def test_werner_state_rejects_a_parameter_that_is_not_a_state(p):
         werner_state(p)
 
 
-@pytest.mark.parametrize("make", [maximally_mixed, random_pure, random_unitary])
-@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("make", [maximally_mixed, random_pure, random_unitary, random_density])
+@pytest.mark.parametrize("dim", [0, -1, 2.5])
 def test_constructors_reject_dim_below_one(make, dim):
     with pytest.raises(DimMismatch, match=">= 1"):
         make(dim)
